@@ -459,8 +459,9 @@ class Localized:
         if isinstance(other, Localized):
             return Localized(self.num * other.num, self.dpow + other.dpow)
         if isinstance(other, Scalar):
-            return Localized(self.num.scale(other), self.dpow,
-                             _normalize=False)
+            num = self.num.scale(other)
+            # zero has the single form num = 0, dpow = 0
+            return Localized(num, self.dpow if num else 0, _normalize=False)
         return NotImplemented
 
     def __rmul__(self, other):

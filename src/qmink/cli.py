@@ -109,10 +109,15 @@ def cmd_derive(args):
     return 0
 
 
+def _check_degree(name, n):
+    """Reject a power or degree outside 0..MAX_INPUT_DEGREE (exit code 2)."""
+    if not 0 <= n <= sf.MAX_INPUT_DEGREE:
+        raise ValueError(f"{name} must be between 0 and "
+                         f"{sf.MAX_INPUT_DEGREE}, got {n}")
+
+
 def cmd_lpow(args):
-    if args.n < 0:
-        print("error: power must be non-negative", file=sys.stderr)
-        return 2
+    _check_degree("power", args.n)
     mat = mx.l_pow_closed(_GEN_ALIASES[args.gen], args.n)
     if args.json:
         rows = [[sf.element_to_str(x.try_clear()) for x in row]
@@ -135,6 +140,7 @@ def cmd_verify(args):
     degree = args.max_degree
     if degree is None:
         degree = int(os.environ.get("QMINK_MAX_DEGREE", DEFAULT_MAX_DEGREE))
+    _check_degree("--max-degree", degree)
     results = []
     if args.suite in ("structure", "all"):
         results += lz.verify_structure()
@@ -147,6 +153,8 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     degree = args.degree
+    if degree is not None:
+        _check_degree("--degree", degree)
     param = sc.M if args.kind == "massive" else sc.K
     if args.param is not None:
         param = sf.parse_scalar(args.param)

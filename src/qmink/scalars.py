@@ -15,13 +15,23 @@ Equality is exact via cross multiplication; `canonical()` produces the fully
 gcd-reduced representative (denominator's lowest monomial normalized
 positive, coprime integer content), so equal values have identical canonical
 forms.
+
+Denominators in s alone are reduced on construction.  The engine builds
+them from [2] = s^-2 Phi_8(s), lambda = s^-2 Phi_1 Phi_2 Phi_4 and
+[[n]] = prod_{d | 4n, d not dividing 4} Phi_d(s), so each is c times a
+product of cyclotomic polynomials Phi_d(s).  Its *split* {d: e_d} is cached
+by primitive part; a product's split is the sum of its factors' splits, and
+the q-factorials register theirs.  The gcd with the numerator is then found
+by exact trial division by each Phi_d, with no general polynomial gcd.  A
+denominator that does not split falls back to a primitive-PRS gcd, and
+denominators involving m or k to sympy's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, log
 
 __all__ = [
     "Scalar", "PoleError", "NotRationalError",
@@ -93,6 +103,12 @@ def _dmul(d1, d2):
     return acc
 
 
+def _product_factors(d1, d2):
+    """The factors to pass with the denominator d1 d2.  When one of them is
+    a monomial the product shares the other's cached split, so none are."""
+    return (d1, d2) if len(d1) > 1 and len(d2) > 1 else ()
+
+
 def _nadd(n1, n2):
     acc = dict(n1)
     for key, c in n2.items():
@@ -136,11 +152,13 @@ class Scalar:
     __slots__ = ("num", "den")
     __hash__ = None
 
-    def __init__(self, num, den=None, _normalize=True):
+    def __init__(self, num, den=None, _normalize=True, _factors=()):
+        # _factors: denominators whose product is den, when den was built
+        # as one (their cached splits give den's split)
         if den is None:
             den = {_DKEY0: 1}
         if _normalize:
-            num, den = _light_normalize(num, den)
+            num, den = _light_normalize(num, den, _factors)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -168,7 +186,8 @@ class Scalar:
                   _nmul(other.num, _den_as_num(self.den)))
         if not n:
             return ZERO
-        return Scalar(n, _dmul(self.den, other.den))
+        return Scalar(n, _dmul(self.den, other.den),
+                      _factors=_product_factors(self.den, other.den))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -187,7 +206,8 @@ class Scalar:
         if d1 == {_DKEY0: 1} and d2 == {_DKEY0: 1}:
             return Scalar(_nmul(self.num, other.num), {_DKEY0: 1},
                           _normalize=False)
-        return Scalar(_nmul(self.num, other.num), _dmul(d1, d2))
+        return Scalar(_nmul(self.num, other.num), _dmul(d1, d2),
+                      _factors=_product_factors(d1, d2))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -308,7 +328,7 @@ class Scalar:
 
 # -- normalization ----------------------------------------------------------
 
-def _light_normalize(num, den):
+def _light_normalize(num, den, factors=()):
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -320,7 +340,7 @@ def _light_normalize(num, den):
         num = {(es - shift, em, ek, ei, er): v
                for (es, em, ek, ei, er), v in num.items()}
     if len(den) > 1 and all(k[1] == 0 and k[2] == 0 for k in den):
-        num, den = _reduce_s_only(num, den)
+        num, den = _reduce_s_only(num, den, factors)
     c = _content(num, den)
     if c > 1:
         num = {key: v // c for key, v in num.items()}
@@ -331,41 +351,109 @@ def _light_normalize(num, den):
     return num, den
 
 
-def _reduce_s_only(num, den):
-    """Cancel the gcd when the denominator is a polynomial in s alone.
+def _dense(den):
+    """An s-only polynomial dict (s-degree first in each key, all >= 0)
+    as a little-endian coefficient list."""
+    out = [0] * (max(k[0] for k in den) + 1)
+    for key, v in den.items():
+        out[key[0]] = v
+    return out
 
-    Keeps fractions small along summation chains; works over Z[s] with a
-    primitive PRS (s-power units are free to move, so slices are shifted
-    to degree 0 before taking gcds).
-    """
-    dmax = max(k[0] for k in den)
-    dlist = [0] * (dmax + 1)
-    for (es, _, _), v in den.items():
-        dlist[es] = v
+
+def _slices(num):
+    """Numerator slices by (e_m, e_k, e_i, e_r), each as {e_s: coeff}."""
     slices = {}
     for (es, em, ek, ei, er), v in num.items():
         slices.setdefault((em, ek, ei, er), {})[es] = v
-    arrays = {}
-    g = dlist
-    for key, sl in slices.items():
-        lo = min(sl)
-        arr = [0] * (max(sl) - lo + 1)
-        for es, v in sl.items():
-            arr[es - lo] = v
-        arrays[key] = (lo, arr)
+    return slices
+
+
+def _join(slices):
+    return {(es, em, ek, ei, er): v
+            for (em, ek, ei, er), sl in slices.items() for es, v in sl.items()}
+
+
+def _shifted(sl):
+    """A slice as (s-shift, little-endian coefficient list)."""
+    lo = min(sl)
+    arr = [0] * (max(sl) - lo + 1)
+    for es, v in sl.items():
+        arr[es - lo] = v
+    return lo, arr
+
+
+def _unshifted(lo, arr):
+    return {j + lo: v for j, v in enumerate(arr) if v}
+
+
+def _div_slice(sl, g):
+    lo, arr = _shifted(sl)
+    return _unshifted(lo, _div_monic(arr, g))
+
+
+def _reduce_s_only(num, den, factors=()):
+    """Cancel the gcd when the denominator is a polynomial in s alone.
+
+    Keeps fractions small along summation chains.  The gcd is read off the
+    denominator's cyclotomic split (see `_den_split`): each Phi_d is divided
+    out of every numerator slice as long as all of them divide.  A
+    denominator that is not a product of Phi_d's falls back to `_reduce_prs`.
+    `factors` are denominators whose product is `den`, when known.
+    """
+    slices = _slices(num)
+    probe = sorted(slices.values(), key=len)
+    if len(probe[0]) == 1:
+        # an s-monomial slice shares no factor with the denominator; a
+        # product's split is still recorded for later use as a factor
+        if factors:
+            _den_split(den, factors)
+        return num, den
+    split = _den_split(den, factors)
+    if split is None:
+        return _reduce_prs(num, den)
+    cancelled = {}
+    for d, e in split.items():
+        for _ in range(e):
+            if not all(_phi_divides(sl.items(), d) for sl in probe):
+                break
+            phi = _cyclotomic(d)
+            slices = {key: _div_slice(sl, phi) for key, sl in slices.items()}
+            probe = sorted(slices.values(), key=len)
+            cancelled[d] = cancelled.get(d, 0) + 1
+    if not cancelled:
+        return num, den
+    prod = [1]
+    for d, c in cancelled.items():
+        for _ in range(c):
+            prod = _mul_zs(prod, _cyclotomic(d))
+    new_den = {(es, 0, 0): v
+               for es, v in enumerate(_div_monic(_dense(den), prod)) if v}
+    _SPLITS.setdefault(_prim_key(new_den), {
+        d: e - cancelled.get(d, 0) for d, e in split.items()
+        if e > cancelled.get(d, 0)})
+    return _join(slices), new_den
+
+
+def _reduce_prs(num, den):
+    """Reference reduction for s-only denominators: a primitive PRS gcd.
+
+    Works over Z[s] (s-power units are free to move, so slices are shifted
+    to degree 0 before taking gcds).  Used for denominators that are not
+    products of cyclotomic polynomials, and by the tests as the reference
+    for the split path.
+    """
+    g = _dense(den)
+    arrays = {key: _shifted(sl) for key, sl in _slices(num).items()}
+    for _, arr in arrays.values():
         g = _gcd_zs(g, arr)
         if len(g) == 1:
             return num, den
     new_den = {}
-    for es, v in enumerate(_div_zs(dlist, g)):
+    for es, v in enumerate(_div_zs(_dense(den), g)):
         if v:
             new_den[(es, 0, 0)] = v
-    new_num = {}
-    for (em, ek, ei, er), (lo, arr) in arrays.items():
-        for j, v in enumerate(_div_zs(arr, g)):
-            if v:
-                new_num[(j + lo, em, ek, ei, er)] = v
-    return new_num, new_den
+    return _join({key: _unshifted(lo, _div_zs(arr, g))
+                  for key, (lo, arr) in arrays.items()}), new_den
 
 
 def _strip_zs(a):
@@ -390,7 +478,8 @@ def _prim_zs(a):
 
 
 def _gcd_zs(a, b):
-    """Primitive gcd of integer polynomials in s (lists, little-endian)."""
+    """Primitive gcd of integer polynomials in s (lists, little-endian),
+    with a positive leading coefficient."""
     a, b = _prim_zs(a), _prim_zs(b)
     if len(a) < len(b):
         a, b = b, a
@@ -414,7 +503,10 @@ def _gcd_zs(a, b):
             r = _strip_zs(r)
         r = _prim_zs(r)
         a, b = b, r
-    return _prim_zs(a) if (len(a) > 1 or a[0] != 0) else [1]
+    if len(a) == 1 and a[0] == 0:
+        return [1]
+    a = _prim_zs(a)
+    return a if a[-1] > 0 else [-v for v in a]
 
 
 def _div_zs(a, g):
@@ -438,6 +530,160 @@ def _div_zs(a, g):
     if any(a):
         raise ArithmeticError("inexact s-polynomial division")
     return out
+
+
+# -- cyclotomic splits ------------------------------------------------------
+#
+# The split of an s-only denominator is {d: e_d} with
+# den = c * prod_d Phi_d(s)^e_d.  Splits are cached by the primitive part of
+# the denominator (content and sign divided out), so c * den shares the
+# entry of den.  A product's split is the sum of its factors' splits, so
+# only fresh denominators (inverses, say) are ever split from scratch; the
+# q-factorials, whose inverses the q-exponentials take, are registered as
+# they are built.  The entry is None for a denominator that is not all
+# cyclotomic.
+
+_SPLITS = {}
+_PHI = {}
+_PHI_LOW = {}
+
+
+def _mul_zs(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                out[i + j] += av * bv
+    return out
+
+
+def _div_monic(a, g):
+    """Quotient of the s-polynomial a by the monic g, which must divide it."""
+    deg = len(g) - 1
+    low = [(t, v) for t, v in enumerate(g[:-1]) if v]
+    a = list(a)
+    out = [0] * (len(a) - deg)
+    for j in range(len(out) - 1, -1, -1):
+        c = a[j + deg]
+        if c:
+            out[j] = c
+            for t, v in low:
+                a[j + t] -= c * v
+    if any(a[:deg]):
+        raise ArithmeticError("inexact s-polynomial division")
+    return out
+
+
+def _totient(d):
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def _cyclotomic(d):
+    """Phi_d(s) as a little-endian coefficient list."""
+    phi = _PHI.get(d)
+    if phi is None:
+        phi = [-1] + [0] * (d - 1) + [1]
+        for k in range(1, d):
+            if d % k == 0:
+                phi = _div_monic(phi, _cyclotomic(k))
+        _PHI[d] = phi
+        _PHI_LOW[d] = [(t, v) for t, v in enumerate(phi[:-1]) if v]
+    return phi
+
+
+def _phi_divides(terms, d):
+    """Exact test of Phi_d | p for p given by its (e_s, coeff) terms, e_s
+    of any sign (s is a unit mod Phi_d).  Phi_d divides s^d - 1, so p is
+    folded mod s^d - 1 first and only the fold, of length d, is reduced
+    mod Phi_d."""
+    f = [0] * d
+    for es, v in terms:
+        f[es % d] += v
+    phi = _cyclotomic(d)
+    deg = len(phi) - 1
+    low = _PHI_LOW[d]
+    for pos in range(d - 1, deg - 1, -1):
+        c = f[pos]
+        if c:
+            base = pos - deg
+            for t, v in low:
+                f[base + t] -= c * v
+    return not any(f[:deg])
+
+
+def _prim_key(den):
+    """Cache key of an s-only denominator dict (lowest term s^0): its
+    primitive part with a positive constant term, as a frozenset."""
+    c = gcd(*den.values())
+    if den[_DKEY0] < 0:
+        c = -c
+    if c == 1:
+        return frozenset(den.items())
+    return frozenset((key, v // c) for key, v in den.items())
+
+
+def _den_split(den, factors=()):
+    """The cached split of an s-only denominator dict, or None.
+
+    On a miss the split is the sum of the splits of `factors` when given,
+    else it is computed from scratch; either way it is cached.
+    """
+    key = _prim_key(den)
+    if key not in _SPLITS:
+        if factors:
+            parts = [_den_split(f) for f in factors]
+            split = None if None in parts else _sum_splits(parts)
+        else:
+            split = _split_from_scratch(_dense(dict(key)))
+        _SPLITS[key] = split
+    return _SPLITS[key]
+
+
+def _sum_splits(parts):
+    out = {}
+    for part in parts:
+        for d, e in part.items():
+            out[d] = out.get(d, 0) + e
+    return out
+
+
+def _order_bound(n):
+    """An L with phi(d) > n for every d > L, from Rosser and Schoenfeld
+    (1962): phi(d) > d / (e^gamma ln ln d + 3 / ln ln d) for d >= 3."""
+    d = 30
+    while d / (1.7811 * log(log(d)) + 3 / log(log(d))) <= n:
+        d += 1
+    return d
+
+
+def _split_from_scratch(p):
+    """Split of a primitive s-polynomial by trial division, or None."""
+    if p[-1] < 0:
+        p = [-v for v in p]
+    if p[-1] != 1 or p[0] not in (1, -1):
+        return None
+    rev = p[::-1]
+    if rev != p and rev != [-v for v in p]:
+        return None          # a product of Phi_d's is (anti)palindromic
+    split = {}
+    for d in range(1, _order_bound(len(p) - 1) + 1):
+        if len(p) == 1:
+            break
+        if _totient(d) >= len(p):
+            continue
+        while _phi_divides(enumerate(p), d):
+            p = _div_monic(p, _cyclotomic(d))
+            split[d] = split.get(d, 0) + 1
+    return split if len(p) == 1 else None
 
 
 def _full_reduce(num, den):
@@ -611,6 +857,14 @@ def qfactorial_std(n):
     if out is None:
         out = ONE if n == 0 else qfactorial_std(n - 1) * qnum_std(n)
         _QFACT[n] = out
+        if n:
+            # [[n]]! = [[n-1]]! [[n]] and [[n]] = prod_{d | 4n, d does not
+            # divide 4} Phi_d(s): register the split its inverse will need
+            qnum = {d: 1 for d in range(3, 4 * n + 1)
+                    if 4 * n % d == 0 and 4 % d}
+            split = _sum_splits(
+                [_den_split(_num_real_part(qfactorial_std(n - 1).num)), qnum])
+            _SPLITS.setdefault(_prim_key(_num_real_part(out.num)), split)
     return out
 
 

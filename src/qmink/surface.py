@@ -22,12 +22,18 @@ from . import algebra as al
 from .algebra import Element
 
 __all__ = [
-    "ParseError", "parse", "parse_element", "parse_scalar",
+    "ParseError", "MAX_INPUT_DEGREE", "parse", "parse_element", "parse_scalar",
     "scalar_to_str", "element_to_str", "element_to_json",
     "element_from_json", "gradient_to_json",
     "print_canonical", "to_json", "from_json",
     "Lit", "Sym", "Gen", "Add", "Mul", "Pow", "Neg", "Div",
 ]
+
+
+# Largest exponent, L-matrix power or series truncation accepted as input.
+# Far above every use (the series default to degree 10 and 12), it keeps a
+# typo such as xp^100000 from running for hours.
+MAX_INPUT_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -136,9 +142,9 @@ class _Parser:
         return tok
 
     def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}", pos)
+        tok = self.next()
+        if tok[0] != "op" or tok[1] != op:
+            raise _unexpected(tok, f"expected {op!r}, found {tok[1]!r}")
 
     def parse_expr(self):
         terms = []
@@ -195,24 +201,32 @@ class _Parser:
         if kind == "op" and val == "-":
             self.next()
             sign = -1
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise ParseError("expected integer exponent", pos)
-        num = int(val)
+        tok = self.next()
+        if tok[0] != "num":
+            raise _unexpected(tok, "expected integer exponent")
+        start = tok[2]
+        num = int(tok[1])
         den = 1
         kind, val, _ = self.peek()
         if kind == "op" and val == "/":
             self.next()
-            kind, val, pos = self.next()
-            if kind != "num":
-                raise ParseError("expected exponent denominator", pos)
-            den = int(val)
+            tok = self.next()
+            if tok[0] != "num":
+                raise _unexpected(tok, "expected exponent denominator")
+            den = int(tok[1])
+            if not den:
+                raise ParseError("zero exponent denominator", tok[2])
         if paren:
             self.expect_op(")")
-        return Fraction(sign * num, den)
+        exp = Fraction(sign * num, den)
+        if abs(exp) > MAX_INPUT_DEGREE:
+            raise ParseError(f"exponent {exp} exceeds the limit "
+                             f"{MAX_INPUT_DEGREE}", start)
+        return exp
 
     def parse_atom(self):
-        kind, val, pos = self.next()
+        tok = self.next()
+        kind, val, pos = tok
         if kind == "num":
             return Lit(Fraction(int(val)))
         if kind == "sym":
@@ -225,7 +239,15 @@ class _Parser:
             return node
         if kind == "op" and val == "-":
             return Neg(self.parse_atom())
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise _unexpected(tok, f"unexpected token {val!r}")
+
+
+def _unexpected(tok, msg):
+    """ParseError for token tok, which breaks the grammar as msg says."""
+    kind, _, pos = tok
+    if kind == "end":
+        msg = "unexpected end of input"
+    return ParseError(msg, pos)
 
 
 def parse(text):

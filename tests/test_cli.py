@@ -45,6 +45,22 @@ def test_parse_error_exit_code(capsys):
     assert cli.main(["derive", "(x0"]) == 2
 
 
+def test_truncated_input_exit_code(capsys):
+    assert cli.main(["normalize", "x0 * (xm"]) == 2
+    assert "unexpected end of input" in capsys.readouterr().err
+
+
+def test_size_bound_exit_code(capsys):
+    top = cli.sf.MAX_INPUT_DEGREE
+    for argv in (["normalize", "xp^100000"],
+                 ["lpow", "x0", str(top + 1)],
+                 ["lpow", "x0", "-1"],
+                 ["solve", "massive", "--degree", "100000"],
+                 ["verify", "calculus", "--max-degree", str(top + 1)]):
+        assert cli.main(argv) == 2, argv
+        assert str(top) in capsys.readouterr().err
+
+
 def test_lpow(capsys):
     code, out = run(capsys, "lpow", "x30", "5")
     assert code == 0

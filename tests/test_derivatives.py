@@ -31,6 +31,18 @@ def test_gradient_of_constant_is_zero():
     assert dv.grad_closed(al.zero()).is_zero()
 
 
+def test_zero_localized_equals_zero():
+    # delta does not divide xi+, so this keeps a delta^1 denominator
+    loc = al.Localized(al.monomial(a=1), 1)
+    assert loc.dpow == 1
+    zero = al.Localized.of(al.zero())
+    assert loc * sc.ZERO == zero
+    assert sc.ZERO * loc == zero
+    assert (loc * sc.ZERO).dpow == 0
+    grad = dv.Gradient((loc,) * 4)
+    assert grad.scale(sc.ZERO) == dv.Gradient.zero()
+
+
 @pytest.mark.parametrize("gen,slot", [("xm", 1), ("xp", 2)])
 def test_power_rule_spatial(gen, slot):
     for n in range(1, 6):

@@ -189,3 +189,81 @@ def test_scalar_arithmetic_matches_point_evaluation(ops, seed):
     assert _eval_scalar(can) == mirror
     can2 = can.canonical()
     assert can2.num == can.num and can2.den == can.den
+
+
+# -- cyclotomic splits against the primitive-PRS reference ---------------------
+
+def _den_of(x):
+    """A polynomial Scalar in s alone as a shifted denominator dict."""
+    assert x.den == {(0, 0, 0): 1}
+    lo = min(key[0] for key in x.num)
+    return {(key[0] - lo, 0, 0): v for key, v in x.num.items()}
+
+
+def _assert_matches_prs(num, den, factors=()):
+    got = sc._reduce_s_only(num, den, factors)
+    assert got == sc._reduce_prs(num, den)
+    return got
+
+
+_LAM, _TWO, _Q = sc.lambda_(), sc.two_q(), sc.q_power(1)
+
+
+@pytest.mark.parametrize("content,n,a,b", [
+    (1, 4, 2, 3), (3, 5, 1, 0), (-6, 3, 0, 2), (9, 7, 2, 2), (4, 1, 3, 1)])
+def test_split_reduction_matches_prs_on_engine_denominators(content, n, a, b):
+    facs = [sc.integer(content), sc.qfactorial_std(n), _TWO ** a, _LAM ** b]
+    den = _den_of(facs[0] * facs[1] * facs[2] * facs[3])
+    shared = _LAM ** min(b, 2) * _TWO ** min(a, 1) * sc.qnum_std(min(n, 3))
+    x = ((sc.integer(2) + _Q * sc.integer(5)) * shared
+         + sc.M * (_Q - sc.integer(3)) * _LAM * shared
+         + sc.I * sc.R * (_Q ** 2 + sc.integer(7)) * shared)
+    assert sc._den_split(den)          # all cyclotomic: the split path runs
+    got = _assert_matches_prs(x.num, den)
+    assert max(got[1]) < max(den)      # something cancelled
+    # the same with the denominator's factors passed along
+    factor_dens = tuple(_den_of(f) for f in facs)
+    assert sc._reduce_s_only(x.num, den, factor_dens) == got
+
+
+def test_split_reduction_shares_factor_with_multiplicity():
+    # [2] = s^-2 Phi_8(s): every slice carries Phi_8^2, the denominator ^3
+    den = _den_of(_TWO ** 3 * sc.qnum_std(6) * sc.integer(5))
+    x = (_TWO ** 2 * (sc.integer(2) + _Q)
+         + sc.K * _TWO ** 2 * sc.qnum_std(6) * (_Q - sc.integer(1)))
+    num, new_den = _assert_matches_prs(x.num, den)
+    assert sc.Scalar(num, new_den) == sc.Scalar(x.num, den)
+    assert max(new_den)[0] == max(den)[0] - 8     # Phi_8^2 cancelled
+
+
+def test_split_reduction_returns_at_once_on_a_monomial_slice():
+    den = _den_of(_LAM * _TWO * sc.qfactorial_std(3))
+    x = _LAM * sc.M + sc.s_power(3) * sc.integer(4)    # slice m^0 = 4 s^3
+    num, new_den = _assert_matches_prs(x.num, den)
+    assert num is x.num and new_den is den
+
+
+def test_non_cyclotomic_denominator_falls_back_to_prs():
+    odd = sc.integer(1) + sc.s_power(1) * sc.integer(3) + sc.s_power(2)
+    den = _den_of(odd * sc.qnum_std(3))
+    assert sc._split_from_scratch(sc._dense(den)) is None
+    x = odd * (sc.integer(2) + sc.M * _Q)
+    num, new_den = _assert_matches_prs(x.num, den)
+    assert new_den == _den_of(sc.qnum_std(3))
+    assert sc._den_split(den) is None
+
+
+def _split_from_scratch(den):
+    return sc._split_from_scratch(sc._dense(dict(sc._prim_key(den))))
+
+
+def test_seeded_split_equals_split_from_scratch():
+    a = (sc.integer(3) * sc.qfactorial_std(5) * _TWO ** 2).inverse()
+    b = (sc.integer(2) * _LAM ** 3 * sc.qnum_std(6)).inverse()
+    for x in (a * b, a + b, (a * b) * (a + b)):
+        seeded = sc._den_split(x.den)
+        assert seeded
+        assert seeded == _split_from_scratch(x.den)
+    for n in range(1, 10):
+        fact = sc._num_real_part(sc.qfactorial_std(n).num)
+        assert sc._den_split(fact) == _split_from_scratch(fact)

@@ -43,6 +43,24 @@ def test_half_exponents_on_q_only():
         sf.parse_scalar("m^(1/2)")
 
 
+@pytest.mark.parametrize("text", ["x0 * (xm", "x0 +", "x0^", "x0^(2", ""])
+def test_truncated_input_is_reported_as_such(text):
+    with pytest.raises(sf.ParseError, match="unexpected end of input"):
+        sf.parse_element(text)
+
+
+def test_exponent_bound():
+    top = sf.MAX_INPUT_DEGREE
+    assert sf.parse_scalar(f"q^{top}") == sc.q_power(top)
+    assert sf.parse_scalar(f"q^(-{2 * top}/2)") == sc.q_power(-top)
+    for text in (f"xp^{top + 1}", "xp^100000", f"q^-{top + 1}",
+                 f"q^({2 * top + 1}/2)"):
+        with pytest.raises(sf.ParseError, match="exceeds the limit"):
+            sf.parse_element(text)
+    with pytest.raises(sf.ParseError, match="zero exponent denominator"):
+        sf.parse_scalar("q^(1/0)")
+
+
 def test_syntax_error_position():
     with pytest.raises(sf.ParseError):
         sf.parse_element("x0 + ")
