@@ -403,10 +403,7 @@ def _reduce_s_only(num, den, factors=()):
     slices = _slices(num)
     probe = sorted(slices.values(), key=len)
     if len(probe[0]) == 1:
-        # an s-monomial slice shares no factor with the denominator; a
-        # product's split is still recorded for later use as a factor
-        if factors:
-            _den_split(den, factors)
+        # an s-monomial slice shares no factor with the denominator
         return num, den
     split = _den_split(den, factors)
     if split is None:
@@ -541,11 +538,18 @@ def _div_zs(a, g):
 # only fresh denominators (inverses, say) are ever split from scratch; the
 # q-factorials, whose inverses the q-exponentials take, are registered as
 # they are built.  The entry is None for a denominator that is not all
-# cyclotomic.
+# cyclotomic, or whose split from scratch would need an order d above
+# _SCRATCH_MAX_ORDER; the PRS reduces those.
 
 _SPLITS = {}
+# Largest order d tried by a split from scratch: Phi_4n is the largest
+# factor of [[n]], and 4 * 64 covers every truncation degree the command
+# line accepts.  Trying every order up to L costs about L * (L + terms);
+# for a sparse polynomial such as 1 + s^1000, whose largest factor is
+# Phi_2000, that is far more than the PRS.
+_SCRATCH_MAX_ORDER = 256
 _PHI = {}
-_PHI_LOW = {}
+_COFACTORS = {}
 
 
 def _mul_zs(a, b):
@@ -596,28 +600,44 @@ def _cyclotomic(d):
             if d % k == 0:
                 phi = _div_monic(phi, _cyclotomic(k))
         _PHI[d] = phi
-        _PHI_LOW[d] = [(t, v) for t, v in enumerate(phi[:-1]) if v]
     return phi
 
 
 def _phi_divides(terms, d):
     """Exact test of Phi_d | p for p given by its (e_s, coeff) terms, e_s
     of any sign (s is a unit mod Phi_d).  Phi_d divides s^d - 1, so p is
-    folded mod s^d - 1 first and only the fold, of length d, is reduced
-    mod Phi_d."""
+    folded mod s^d - 1 first.  The fold f is divisible by Phi_d iff it
+    vanishes at every primitive d-th root of unity, that is iff f times
+    prod_{p | d prime} (s^(d/p) - 1), which vanishes at every other d-th
+    root, is 0 mod s^d - 1.  The last factor s^k - 1 kills f iff f is
+    periodic with period k."""
     f = [0] * d
     for es, v in terms:
         f[es % d] += v
-    phi = _cyclotomic(d)
-    deg = len(phi) - 1
-    low = _PHI_LOW[d]
-    for pos in range(d - 1, deg - 1, -1):
-        c = f[pos]
-        if c:
-            base = pos - deg
-            for t, v in low:
-                f[base + t] -= c * v
-    return not any(f[:deg])
+    ks = _prime_cofactors(d)
+    if not ks:
+        return not f[0]                 # d = 1: p(1) = 0
+    for k in ks[1:]:
+        f = [a - b for a, b in zip(f[-k:] + f[:-k], f)]
+    k = ks[0]
+    return f[k:] + f[:k] == f
+
+
+def _prime_cofactors(d):
+    """The d/p for the primes p dividing d."""
+    out = _COFACTORS.get(d)
+    if out is None:
+        out, m, p = [], d, 2
+        while m > 1:
+            if p * p > m:
+                p = m
+            if m % p == 0:
+                out.append(d // p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        _COFACTORS[d] = out
+    return out
 
 
 def _prim_key(den):
@@ -666,7 +686,10 @@ def _order_bound(n):
 
 
 def _split_from_scratch(p):
-    """Split of a primitive s-polynomial by trial division, or None."""
+    """Split of a primitive s-polynomial by trial division, or None.
+
+    Orders d above _SCRATCH_MAX_ORDER are not tried, so a polynomial with
+    such a factor gets None and is left to the PRS."""
     if p[-1] < 0:
         p = [-v for v in p]
     if p[-1] != 1 or p[0] not in (1, -1):
@@ -675,13 +698,15 @@ def _split_from_scratch(p):
     if rev != p and rev != [-v for v in p]:
         return None          # a product of Phi_d's is (anti)palindromic
     split = {}
-    for d in range(1, _order_bound(len(p) - 1) + 1):
+    terms = [(j, v) for j, v in enumerate(p) if v]
+    for d in range(1, min(_order_bound(len(p) - 1), _SCRATCH_MAX_ORDER) + 1):
         if len(p) == 1:
             break
         if _totient(d) >= len(p):
             continue
-        while _phi_divides(enumerate(p), d):
+        while _phi_divides(terms, d):
             p = _div_monic(p, _cyclotomic(d))
+            terms = [(j, v) for j, v in enumerate(p) if v]
             split[d] = split.get(d, 0) + 1
     return split if len(p) == 1 else None
 
@@ -858,13 +883,11 @@ def qfactorial_std(n):
         out = ONE if n == 0 else qfactorial_std(n - 1) * qnum_std(n)
         _QFACT[n] = out
         if n:
-            # [[n]]! = [[n-1]]! [[n]] and [[n]] = prod_{d | 4n, d does not
-            # divide 4} Phi_d(s): register the split its inverse will need
-            qnum = {d: 1 for d in range(3, 4 * n + 1)
-                    if 4 * n % d == 0 and 4 % d}
-            split = _sum_splits(
-                [_den_split(_num_real_part(qfactorial_std(n - 1).num)), qnum])
-            _SPLITS.setdefault(_prim_key(_num_real_part(out.num)), split)
+            # register the split of [[n]]! = [[n-1]]! [[n]], which its
+            # inverse will need, from those of its factors
+            _den_split(_num_real_part(out.num),
+                       (_num_real_part(qfactorial_std(n - 1).num),
+                        _num_real_part(qnum_std(n).num)))
     return out
 
 

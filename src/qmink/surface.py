@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 
-# Largest exponent, L-matrix power or series truncation accepted as input.
-# Far above every use (the series default to degree 10 and 12), it keeps a
-# typo such as xp^100000 from running for hours.
+# Largest power of a generator or a sum, L-matrix power or series truncation
+# accepted as input.  Far above every use (the series default to degree 10
+# and 12), it keeps a typo such as xp^100000 from running for hours.
+# Powers of a monomial such as q^240 cost nothing and are not bounded: the
+# printed 1/[[n]]! carries q^(n(n-1)).
 MAX_INPUT_DEGREE = 64
 
 
@@ -204,7 +206,6 @@ class _Parser:
         tok = self.next()
         if tok[0] != "num":
             raise _unexpected(tok, "expected integer exponent")
-        start = tok[2]
         num = int(tok[1])
         den = 1
         kind, val, _ = self.peek()
@@ -218,11 +219,7 @@ class _Parser:
                 raise ParseError("zero exponent denominator", tok[2])
         if paren:
             self.expect_op(")")
-        exp = Fraction(sign * num, den)
-        if abs(exp) > MAX_INPUT_DEGREE:
-            raise ParseError(f"exponent {exp} exceeds the limit "
-                             f"{MAX_INPUT_DEGREE}", start)
-        return exp
+        return Fraction(sign * num, den)
 
     def parse_atom(self):
         tok = self.next()
@@ -297,6 +294,10 @@ def _eval(node):
     if isinstance(node, Pow):
         base = _eval(node.base)
         exp = node.exponent
+        if abs(exp) > MAX_INPUT_DEGREE and not _is_monomial(base):
+            raise ParseError(f"exponent {exp} exceeds the limit "
+                             f"{MAX_INPUT_DEGREE} on a base other than a "
+                             f"monomial in q, m, k and i")
         if isinstance(base, Element):
             if exp.denominator != 1 or exp < 0:
                 raise ParseError(
@@ -315,6 +316,15 @@ def _eval(node):
             raise ParseError("half-integer exponents are allowed on q only")
         raise ParseError(f"unsupported exponent {exp}")
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _is_monomial(v):
+    """True for a Scalar +-s^a m^b k^c i^d (s = q^(1/2), integer a, b, c),
+    whose powers stay single terms."""
+    if not isinstance(v, Scalar) or len(v.num) != 1 or len(v.den) != 1:
+        return False
+    (key, c), = v.num.items()
+    return abs(c) == 1 and key[4] == 0 and abs(next(iter(v.den.values()))) == 1
 
 
 def _promote_add(a, b):

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from qmink import cli
 
@@ -59,6 +62,18 @@ def test_size_bound_exit_code(capsys):
                  ["verify", "calculus", "--max-degree", str(top + 1)]):
         assert cli.main(argv) == 2, argv
         assert str(top) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, degree", [("massive", 10), ("massless", 12)])
+def test_solve_json_reads_back(capsys, kind, degree):
+    code, out = run(capsys, "solve", kind, "--degree", str(degree), "--json")
+    assert code == 0
+    slices = json.loads(out)["slices"]
+    top = max(int(e) for e in re.findall(r"q\^-?(\d+)", out))
+    assert top > cli.sf.MAX_INPUT_DEGREE
+    for sl in slices:
+        back = cli.sf.element_from_json(json.dumps(sl))
+        assert json.loads(cli.sf.element_to_json(back)) == sl
 
 
 def test_lpow(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -267,3 +268,34 @@ def test_seeded_split_equals_split_from_scratch():
     for n in range(1, 10):
         fact = sc._num_real_part(sc.qfactorial_std(n).num)
         assert sc._den_split(fact) == _split_from_scratch(fact)
+
+
+def test_phi_divides_matches_exact_division():
+    rng = random.Random(5)
+    for d in range(1, 61):
+        phi = sc._cyclotomic(d)
+        for _ in range(3):
+            r = [rng.randint(-4, 4) for _ in range(rng.randint(1, 12))]
+            r[-1] = r[-1] or 1
+            for p in (r, sc._mul_zs(r, phi)):
+                shift = rng.randint(-30, 30)
+                terms = [(j + shift, v) for j, v in enumerate(p) if v]
+                g = sc._gcd_zs(p, phi)
+                assert sc._phi_divides(terms, d) == (g == phi), (d, p)
+
+
+def test_split_from_scratch_stops_at_its_largest_order():
+    top = sc._SCRATCH_MAX_ORDER
+    # [[top/4]] has Phi_top as its largest factor
+    qn = sc._dense(sc._num_real_part(sc.qnum_std(top // 4).num))
+    assert max(sc._split_from_scratch(qn)) == top
+    # 1 + s^1000 needs Phi_2000: no split, and the PRS reduces it
+    big = [1] + [0] * 999 + [1]
+    assert sc._split_from_scratch(big) is None
+    den = {(j, 0, 0): v for j, v in enumerate(big) if v}
+    # Phi_16 = 1 + s^8 divides every slice and 1 + s^1000
+    num = {(0, 0, 0, 0, 0): 1, (8, 0, 0, 0, 0): 1,
+           (4, 1, 0, 0, 0): 3, (12, 1, 0, 0, 0): 3}
+    got = sc._reduce_s_only(num, den)
+    assert got == sc._reduce_prs(num, den)
+    assert max(got[1])[0] == 992

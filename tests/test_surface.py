@@ -51,14 +51,23 @@ def test_truncated_input_is_reported_as_such(text):
 
 def test_exponent_bound():
     top = sf.MAX_INPUT_DEGREE
-    assert sf.parse_scalar(f"q^{top}") == sc.q_power(top)
-    assert sf.parse_scalar(f"q^(-{2 * top}/2)") == sc.q_power(-top)
-    for text in (f"xp^{top + 1}", "xp^100000", f"q^-{top + 1}",
-                 f"q^({2 * top + 1}/2)"):
+    assert sf.parse_element(f"xp^{top}") == sf.parse_element("xp") ** top
+    for text in (f"xp^{top + 1}", "xp^100000", f"(1 + q)^{top + 1}",
+                 f"(q * x0)^{top + 1}", f"2^{top + 1}", f"r^{top + 1}",
+                 f"(1/(1 + q))^-{top + 1}"):
         with pytest.raises(sf.ParseError, match="exceeds the limit"):
             sf.parse_element(text)
     with pytest.raises(sf.ParseError, match="zero exponent denominator"):
         sf.parse_scalar("q^(1/0)")
+
+
+def test_monomial_powers_are_not_bounded():
+    # the printed 1/[[n]]! carries q^(n(n-1)), far above the bound
+    assert sf.parse_scalar("q^240") == sc.q_power(240)
+    assert sf.parse_scalar("q^(-100001/2)") == sc.s_power(-100001)
+    assert sf.parse_scalar("(q*m)^-100") == (sc.q_power(1) * sc.M) ** -100
+    assert sf.parse_scalar("(-i*k)^101") == (-sc.I * sc.K) ** 101
+    assert sf.parse_scalar("(q^-1)^90") == sc.q_power(-90)
 
 
 def test_syntax_error_position():
