@@ -441,10 +441,17 @@ class Localized:
             other = Localized.of(other)
         if not isinstance(other, Localized):
             return NotImplemented
+        # both operands are already reduced, and zero has dpow = 0
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         n = max(self.dpow, other.dpow)
-        delta = delta_element()
-        a = self.num * delta ** (n - self.dpow)
-        b = other.num * delta ** (n - other.dpow)
+        a, b = self.num, other.num
+        if self.dpow < n:
+            a = a * delta_element() ** (n - self.dpow)
+        if other.dpow < n:
+            b = b * delta_element() ** (n - other.dpow)
         return Localized(a + b, n)
 
     def __sub__(self, other):

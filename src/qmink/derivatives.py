@@ -22,6 +22,12 @@ Two independent implementations are kept side by side:
   operator itself).  Partial Jackson derivatives act on ordered monomials
   only; the standalone `OrderedPoly` makes the ordering explicit.
 
+  Every term shares the central denominator delta = xi+ - xi-: the
+  projectors are (...)/delta.  So each component's numerator is
+  accumulated as a plain term dict over delta^1, from cached numerators
+  of Pi+- nabla x0 and of delta (Pi+ q^{2a} + Pi- q^{2b}), and divided by
+  delta once, when the component's `Localized` is built.
+
 All index vectors are in the four-vector order (0, -, +, 3).
 """
 
@@ -239,16 +245,26 @@ def grad_oracle(f):
 
 @lru_cache(maxsize=None)
 def _pi_nabla(sign):
-    return tuple(mx.pi_nabla_x0(sign))
+    """Numerators of Pi+- nabla x0, as Elements; every component keeps
+    its delta^1 denominator."""
+    return tuple(x.num for x in mx.pi_nabla_x0(sign))
 
 
 @lru_cache(maxsize=None)
 def _pi_weighted(a, b):
-    """Pi+ q^(2a) + Pi- q^(2b), cached per central exponent pair."""
-    pp, pm = mx.projectors()
-    if a == b == 0:
-        return mx.identity(4)
-    return pp.scale(sc.q_power(2 * a)) + pm.scale(sc.q_power(2 * b))
+    """delta (Pi+ q^(2a) + Pi- q^(2b)) as a 4x4 tuple of Elements.
+
+    With delta Pi+- = (delta 1 +- (2/lambda)(L_{x0} - b))/2 this is
+    ((q^(2a) + q^(2b))/2) delta 1 + ((q^(2a) - q^(2b))/lambda)(L_{x0} - b),
+    built from the delta-free L_{x0}; for a = b it is q^(2a) delta 1.
+    """
+    qa, qb = sc.q_power(2 * a), sc.q_power(2 * b)
+    off = (qa - qb) * sc.lambda_().inverse()
+    diag = al.delta_element().scale((qa + qb) * sc.rational(1, 2)) - \
+        mx.b_center().scale(off)
+    return tuple(tuple(x.scale(off) + diag if i == j else x.scale(off)
+                       for j, x in enumerate(row))
+                 for i, row in enumerate(_l_entries("x0")))
 
 
 def _spatial_gradient_mono(key, coeff):
@@ -277,7 +293,7 @@ def grad_closed(f):
     """
     if isinstance(f, Localized):
         f = f.try_clear()
-    comps = [_LZERO] * 4
+    nums = ({}, {}, {}, {})     # component numerators over delta^1
     pi_plus = _pi_nabla(+1)
     pi_minus = _pi_nabla(-1)
     for key, coeff in f.terms.items():
@@ -286,22 +302,23 @@ def grad_closed(f):
         # central Jackson terms against nabla xi+- = Pi+- nabla x0
         if a:
             pref = al.monomial(a - 1, b, coeff=coeff * sc.qnum_std(a))
-            for mu in range(4):
-                if not pi_plus[mu].is_zero():
-                    comps[mu] = comps[mu] + pref * pi_plus[mu] * tail
+            for acc, pi in zip(nums, pi_plus):
+                if pi:
+                    al._add_into(acc, (pref * pi * tail).terms)
         if b:
             pref = al.monomial(a, b - 1, coeff=coeff * sc.qnum_std(b))
-            for mu in range(4):
-                if not pi_minus[mu].is_zero():
-                    comps[mu] = comps[mu] + pref * pi_minus[mu] * tail
-        # spatial Jackson terms, twisted by Pi+ q^(2a) + Pi- q^(2b)
+            for acc, pi in zip(nums, pi_minus):
+                if pi:
+                    al._add_into(acc, (pref * pi * tail).terms)
+        # spatial Jackson terms, twisted by delta (Pi+ q^(2a) + Pi- q^(2b))
         spatial = _spatial_gradient_mono(key, coeff)
-        if any(not x.is_zero() for x in spatial):
-            wmat = _pi_weighted(a, b)
-            vec = wmat.apply([Localized.of(x) for x in spatial])
-            for mu in range(4):
-                comps[mu] = comps[mu] + vec[mu]
-    return Gradient(tuple(comps))
+        if any(spatial):
+            for acc, row in zip(nums, _pi_weighted(a, b)):
+                for w, x in zip(row, spatial):
+                    if w and x:
+                        al._add_into(acc, (w * x).terms)
+    return Gradient(tuple(Localized(Element(acc, _copy=False), 1)
+                          for acc in nums))
 
 
 def delta_correction(f):

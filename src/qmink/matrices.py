@@ -583,15 +583,16 @@ def l_x0_explicit():
 # -- metric and derived vectors --------------------------------------------------
 
 def eta_upper():
-    """Upper metric as a dict {(mu, nu): Scalar}, indices in (0,-,+,3)."""
+    """The metric as a dict {(mu, nu): Scalar}, indices in (0,-,+,3).
+
+    The metric is its own inverse, so the upper and the lower metric are
+    the same dict; `eta_lower` is an alias of this function.
+    """
     return {(0, 0): ONE, (1, 2): sc.q_power(-1), (2, 1): sc.q_power(1),
             (3, 3): -ONE}
 
 
-def eta_lower():
-    """Lower metric (matrix inverse of the upper one)."""
-    return {(0, 0): ONE, (1, 2): sc.q_power(-1), (2, 1): sc.q_power(1),
-            (3, 3): -ONE}
+eta_lower = eta_upper
 
 
 @lru_cache(maxsize=None)

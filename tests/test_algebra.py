@@ -177,6 +177,42 @@ def test_localized_arithmetic():
     assert (a - a).is_zero()
 
 
+def test_localized_add_zero_keeps_operand():
+    x = al.Localized(al.monomial(a=1), 1)
+    zero = al.Localized.of(al.zero())
+    for total in (zero + x, x + zero):
+        assert total.dpow == 1 and total.num == x.num
+
+
+def test_localized_add_same_dpow_makes_no_product(monkeypatch):
+    calls = []
+    mul = al._mul
+
+    def counting_mul(f, g):
+        calls.append((f, g))
+        return mul(f, g)
+
+    x = al.Localized(al.monomial(a=1), 1)
+    y = al.Localized(al.monomial(b=1, c=1), 1)
+    monkeypatch.setattr(al, "_mul", counting_mul)
+    total = x + y
+    assert calls == []
+    assert total.dpow == 1
+    assert total.num == al.monomial(a=1) + al.monomial(b=1, c=1)
+
+
+def test_localized_add_mixed_dpow():
+    delta = al.delta_element()
+    u = al.Localized(al.monomial(a=1), 2)             # xi+ / delta^2
+    v = al.Localized(al.monomial(b=1, c=1), 1)        # xi- x+ / delta
+    w = al.Localized.of(al.monomial(d=1))             # x30
+    assert u.dpow == 2 and v.dpow == 1
+    want = al.Localized(u.num + v.num * delta + w.num * delta ** 2, 2)
+    assert u + v + w == want
+    assert w + v + u == want
+    assert v + w == al.Localized(v.num + w.num * delta, 1)
+
+
 def test_pbw_round_trip():
     import itertools
     for n0, nm, np_, n3 in itertools.product(range(3), repeat=4):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qmink import algebra as al
+from qmink import cli
 from qmink import derivatives as dv
 from qmink import matrices as mx
 from qmink import scalars as sc
@@ -240,6 +241,45 @@ def test_closed_equals_oracle_random():
     for _ in range(30):
         el = _random_algebra_element(rng)
         assert grad_eq(dv.grad_closed(el), dv.grad_oracle(el))
+
+
+def _delta_kept(grad):
+    """Number of components with a delta^1 left; checks none can cancel."""
+    kept = 0
+    for comp in grad.components:
+        assert comp.dpow in (0, 1)
+        if comp.dpow == 1:
+            kept += 1
+            with pytest.raises(al.DeltaDivisionError):
+                al.div_central(comp.num, al.delta_element())
+    return kept
+
+
+def test_closed_gradient_components_are_reduced():
+    # equality of Localized values compares (num, dpow), so every component
+    # must come back with no delta left to cancel
+    for el in cli._basis_monomials(5):
+        grad = dv.grad_closed(el)
+        _delta_kept(grad)
+        grad.cleared()
+    # odd powers of xi+- lie outside the algebra and keep a delta^1
+    for el in (al.monomial(a=1), al.monomial(b=1, c=1),
+               al.monomial(a=2, b=1, d=1, e=1)):
+        assert _delta_kept(dv.grad_closed(el))
+
+
+def test_closed_gradient_caches_match_projectors():
+    pp, pm = mx.projectors()
+    for a in range(4):
+        for b in range(4):
+            ref = pp.scale(sc.q_power(2 * a)) + pm.scale(sc.q_power(2 * b))
+            got = dv._pi_weighted(a, b)
+            for i in range(4):
+                for j in range(4):
+                    assert al.Localized(got[i][j], 1) == ref.entries[i][j]
+    for sign in (+1, -1):
+        for num, ref in zip(dv._pi_nabla(sign), mx.pi_nabla_x0(sign)):
+            assert al.Localized(num, 1) == ref
 
 
 def test_time_derivative_formula():
