@@ -6,8 +6,11 @@ Elements are stored in the internal basis of ordered monomials
 
 where xi+- are the central separating coordinates, x30 = x3 - x0 is the
 light-cone coordinate, and x0 = xi+ + xi-, x^2 = [2]^2 xi+ xi- recover the
-center.  Products are normal ordered with the rewriting rules derived from
-the defining commutation relations:
+center.  Since xi+- are central, a basis monomial is a central prefix
+xi+^a xi-^b times a tail x+^c x30^d x-^e, and a product of two monomials
+only has to normal order the product of their tails.  That product is
+cached per pair of tail shapes (`_tail_mul`), computed once with the
+rewriting rules derived from the defining commutation relations:
 
     x-  x30 -> q^2  x30 x-
     x30 x+  -> q^2  x+  x30
@@ -124,14 +127,17 @@ class Element:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        out = one()
+        if n == 0:
+            return one()
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def scale(self, c):
         if c.is_zero() or not self.terms:
@@ -199,8 +205,11 @@ _ONE_EL = Element({(0, 0, 0, 0, 0): ONE}, _copy=False)
 
 # -- normal ordering --------------------------------------------------------
 #
-# Products are assembled by appending single generators on the right; each
-# append is a closed-form expansion that keeps monomials in basis form.
+# The product of two tails x+^c x30^d x-^e is assembled once per pair of
+# shapes, with coefficient 1, by appending single generators on the right;
+# each append is a closed-form expansion that keeps monomials in basis
+# form.  `_mul` then only scales the cached table and shifts the central
+# prefix.
 
 def _append_xp(terms):
     """Right-multiply by x+."""
@@ -261,21 +270,34 @@ def _acc(out, key, val):
         out[key] = val
 
 
+@lru_cache(maxsize=None)
+def _tail_mul(c, d, e, c2, d2, e2):
+    """Normal order x+^c x30^d x-^e * x+^c2 x30^d2 x-^e2.
+
+    Returns a tuple of ((da, db, c3, d3, e3), Scalar) pairs: the product is
+    the sum of coeff * xi+^da xi-^db x+^c3 x30^d3 x-^e3.  A coefficient
+    equal to 1 is ONE itself, so callers can skip multiplying by it.
+    """
+    cur = {(0, 0, c, d, e): ONE}
+    for _ in range(c2):
+        cur = _append_xp(cur)
+    for _ in range(d2):
+        cur = _append_x30(cur)
+    for _ in range(e2):
+        cur = _append_xm(cur)
+    return tuple((key, ONE if t.is_one() else t) for key, t in cur.items())
+
+
 def _mul(f, g):
     if not f.terms or not g.terms:
         return zero()
     acc = {}
     for (a2, b2, c2, d2, e2), coeff in g.terms.items():
-        cur = {(a + a2, b + b2, c, d, e): v * coeff
-               for (a, b, c, d, e), v in f.terms.items()}
-        for _ in range(c2):
-            cur = _append_xp(cur)
-        if d2:
-            for _ in range(d2):
-                cur = _append_x30(cur)
-        for _ in range(e2):
-            cur = _append_xm(cur)
-        _add_into(acc, cur)
+        for (a, b, c, d, e), v in f.terms.items():
+            vc = v * coeff
+            for (da, db, c3, d3, e3), t in _tail_mul(c, d, e, c2, d2, e2):
+                _acc(acc, (a + a2 + da, b + b2 + db, c3, d3, e3),
+                     vc if t is ONE else vc * t)
     return Element(acc, _copy=False)
 
 
@@ -506,17 +528,6 @@ def localize_div(f, n):
 # Keys are (n0, na, nm, np, n3) for x0^n0 alpha^na x-^nm x+^np x3^n3 with
 # na in {0, 1}; alpha is central with alpha^2 = (x0)^2 - (4/[2]^2) x^2.
 
-def _pbw_acc(out, key, val):
-    if key in out:
-        v = out[key] + val
-        if v.is_zero():
-            del out[key]
-        else:
-            out[key] = v
-    elif not val.is_zero():
-        out[key] = val
-
-
 @lru_cache(maxsize=None)
 def _pbw_tail_gen(nm, np, n3, gen):
     """Normal order x-^nm x+^np x3^n3 * gen; returns tuple of (key, Scalar).
@@ -533,8 +544,8 @@ def _pbw_tail_gen(nm, np, n3, gen):
         out = {}
         for (u, m2, p2, v), c in _pbw_tail_gen(nm, np, n3 - 1, "xp"):
             # ... x3^(n3-1) (x3 x+) = q^2 (.. x+) x3 - q lam (.. x+) x0
-            _pbw_acc(out, (u, m2, p2, v + 1), c * _Q2)
-            _pbw_acc(out, (u + 1, m2, p2, v), -c * sc.q_power(1) * lam)
+            _acc(out, (u, m2, p2, v + 1), c * _Q2)
+            _acc(out, (u + 1, m2, p2, v), -c * sc.q_power(1) * lam)
         return tuple(out.items())
     if gen == "xm":
         if n3 == 0 and np == 0:
@@ -543,16 +554,16 @@ def _pbw_tail_gen(nm, np, n3, gen):
             out = {}
             for (u, m2, p2, v), c in _pbw_tail_gen(nm, np, n3 - 1, "xm"):
                 # x3 x- = q^-2 x- x3 + q^-1 lam x- x0
-                _pbw_acc(out, (u, m2, p2, v + 1), c * _QM2)
-                _pbw_acc(out, (u + 1, m2, p2, v), c * sc.q_power(-1) * lam)
+                _acc(out, (u, m2, p2, v + 1), c * _QM2)
+                _acc(out, (u + 1, m2, p2, v), c * sc.q_power(-1) * lam)
             return tuple(out.items())
         # np > 0, n3 == 0: x+^np x- = x+^(np-1)(x- x+ - lam x3 x3 + lam x0 x3)
         out = {}
         for (u, m2, p2, v), c in _pbw_tail_gen(nm, np - 1, 0, "xm"):
             for (u2, m3, p3, v2), c2 in _pbw_tail_gen(m2, p2, v, "xp"):
-                _pbw_acc(out, (u + u2, m3, p3, v2), c * c2)
-        _pbw_acc(out, (0, nm, np - 1, 2), -lam)
-        _pbw_acc(out, (1, nm, np - 1, 1), lam)
+                _acc(out, (u + u2, m3, p3, v2), c * c2)
+        _acc(out, (0, nm, np - 1, 2), -lam)
+        _acc(out, (1, nm, np - 1, 1), lam)
         return tuple(out.items())
     raise KeyError(gen)
 
@@ -585,21 +596,21 @@ def _pbw_mul_mono(terms, mono, coeff):
         nxt = {}
         for (a0, aa, am, ap, a3), c in cur.items():
             if aa == 0:
-                _pbw_acc(nxt, (a0, 1, am, ap, a3), c)
+                _acc(nxt, (a0, 1, am, ap, a3), c)
             else:
                 if _ALPHA_SQ is None:
                     _ALPHA_SQ = _alpha_sq_pbw()
                 for mono2, c2 in _ALPHA_SQ.items():
                     for key3, c3 in _pbw_mul_mono({(a0, 0, am, ap, a3): c * c2},
                                                   mono2, ONE).items():
-                        _pbw_acc(nxt, key3, c3)
+                        _acc(nxt, key3, c3)
         cur = nxt
     for gen, count in (("xm", nm), ("xp", np_), ("x3", n3)):
         for _ in range(count):
             nxt = {}
             for (a0, aa, am, ap, a3), c in cur.items():
                 for (u, m2, p2, v), c2 in _pbw_tail_gen(am, ap, a3, gen):
-                    _pbw_acc(nxt, (a0 + u, aa, m2, p2, v), c * c2)
+                    _acc(nxt, (a0 + u, aa, m2, p2, v), c * c2)
             cur = nxt
     return cur
 
@@ -619,7 +630,7 @@ def pbw_mul(f, g):
     acc = {}
     for mono, coeff in g.items():
         for key, c in _pbw_mul_mono(f, mono, coeff).items():
-            _pbw_acc(acc, key, c)
+            _acc(acc, key, c)
     if any(key[1] for key in acc):
         return acc
     return {(n0, nm, np_, n3): v for (n0, _, nm, np_, n3), v in acc.items()}
@@ -653,7 +664,7 @@ def _xi_power_pbw(sign, v):
         term = {(n0 + v - j, na + (j % 2), nm, np_, n3): c * coef
                 for (n0, na, nm, np_, n3), c in even.items()}
         for key, c in term.items():
-            _pbw_acc(acc, key, c)
+            _acc(acc, key, c)
     return tuple(acc.items())
 
 
@@ -679,30 +690,43 @@ def _central_pbw(a, b):
     return tuple(base.items())
 
 
+def _pbw_tail(c, d, e):
+    """The tail x+^c x30^d x-^e in PBW form (5-tuple keys), with
+    x30 = x3 - x0 expanded binomially (x0 is central)."""
+    tail = {}
+    if e == 0:
+        for j in range(d + 1):
+            coef = sc.integer((-1) ** (d - j) * comb(d, j))
+            _acc(tail, (d - j, 0, 0, c, j), coef)
+    else:
+        ph = sc.q_power(-2 * d * e)
+        for j in range(d + 1):
+            coef = ph * sc.integer((-1) ** (d - j) * comb(d, j))
+            _acc(tail, (d - j, 0, e, 0, j), coef)
+    return tail
+
+
 def to_pbw_x(f):
     """Expand a delta-free Element in the PBW basis (n0, n-, n+, n3).
+
+    The central prefixes xi+^a xi-^b of all terms sharing a tail
+    x+^c x30^d x-^e are summed in PBW form first, so `pbw_mul` runs once
+    per distinct tail (exact by bilinearity).
 
     Raises NotInAlgebraError when f is not a polynomial in the coordinates
     (a residual odd power of alpha survives).
     """
     if isinstance(f, Localized):
         f = f.try_clear()
-    acc = {}
+    centrals = {}
     for (a, b, c, d, e), coeff in f.terms.items():
-        central = {key: v * coeff for key, v in _central_pbw(a, b)}
-        # tail
-        tail = {}
-        if e == 0:
-            for j in range(d + 1):
-                coef = sc.integer((-1) ** (d - j) * comb(d, j))
-                _pbw_acc(tail, (d - j, 0, 0, c, j), coef)
-        else:
-            ph = sc.q_power(-2 * d * e)
-            for j in range(d + 1):
-                coef = ph * sc.integer((-1) ** (d - j) * comb(d, j))
-                _pbw_acc(tail, (d - j, 0, e, 0, j), coef)
-        for key, v in _pbw5(pbw_mul(central, tail)).items():
-            _pbw_acc(acc, key, v)
+        central = centrals.setdefault((c, d, e), {})
+        for key, v in _central_pbw(a, b):
+            _acc(central, key, v * coeff)
+    acc = {}
+    for (c, d, e), central in centrals.items():
+        for key, v in _pbw5(pbw_mul(central, _pbw_tail(c, d, e))).items():
+            _acc(acc, key, v)
     bad = {key: v for key, v in acc.items() if key[1]}
     if bad:
         raise NotInAlgebraError(

@@ -25,6 +25,11 @@ the q-factorials register theirs.  The gcd with the numerator is then found
 by exact trial division by each Phi_d, with no general polynomial gcd.  A
 denominator that does not split falls back to a primitive-PRS gcd, and
 denominators involving m or k to sympy's.
+
+A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
+the trivial denominator) keeps the other factor's denominator and divides
+out only the integer content: s and i are units, so the product shares no
+factor with an already reduced denominator that the other did not.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
 
 _NKEY0 = (0, 0, 0, 0, 0)
 _DKEY0 = (0, 0, 0)
+_DEN_ONE = {_DKEY0: 1}
 
 
 class PoleError(ArithmeticError):
@@ -101,6 +107,14 @@ def _dmul(d1, d2):
             elif key in acc:
                 del acc[key]
     return acc
+
+
+def _is_unit(n):
+    """Whether the numerator n is a unit +-c s^a i^b: one key, no m, k, r."""
+    if len(n) != 1:
+        return False
+    (_es, em, ek, _ei, er), = n
+    return not (em or ek or er)
 
 
 def _product_factors(d1, d2):
@@ -203,9 +217,19 @@ class Scalar:
         if not self.num or not other.num:
             return ZERO
         d1, d2 = self.den, other.den
-        if d1 == {_DKEY0: 1} and d2 == {_DKEY0: 1}:
+        one1, one2 = d1 == _DEN_ONE, d2 == _DEN_ONE
+        if one1 and one2:
             return Scalar(_nmul(self.num, other.num), {_DKEY0: 1},
                           _normalize=False)
+        if (one1 and _is_unit(self.num)) or (one2 and _is_unit(other.num)):
+            # a unit shares no factor with the other, reduced, denominator
+            num = _nmul(self.num, other.num)
+            den = d2 if one1 else d1
+            c = _content(den, num)
+            if c > 1:
+                num = {key: v // c for key, v in num.items()}
+                den = {key: v // c for key, v in den.items()}
+            return Scalar(num, den, _normalize=False)
         return Scalar(_nmul(self.num, other.num), _dmul(d1, d2),
                       _factors=_product_factors(d1, d2))
 
@@ -217,14 +241,17 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
+        if n == 0:
+            return ONE
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def inverse(self):
         if not self.num:

@@ -278,3 +278,107 @@ def test_classical_limit_of_multiplication():
         g = rand_algebra_element(rng, 3, 2)
         assert classical_pbw(f * g) == comm_mul(classical_pbw(f),
                                                 classical_pbw(g))
+
+
+# -- the tail table, per-tail PBW products and powers --------------------------
+
+def _tails(max_deg):
+    """Tail shapes (c, d, e) with c * e = 0 and degree <= max_deg."""
+    return [(c, d, e) for c in range(max_deg + 1) for d in range(max_deg + 1)
+            for e in range(max_deg + 1)
+            if c * e == 0 and c + d + e <= max_deg]
+
+
+def test_tail_mul_matches_append_chain():
+    for c, d, e in _tails(3):
+        for c2, d2, e2 in _tails(3):
+            cur = {(0, 0, c, d, e): sc.ONE}
+            for _ in range(c2):
+                cur = al._append_xp(cur)
+            for _ in range(d2):
+                cur = al._append_x30(cur)
+            for _ in range(e2):
+                cur = al._append_xm(cur)
+            table = dict(al._tail_mul(c, d, e, c2, d2, e2))
+            assert table.keys() == cur.keys()
+            for key, t in table.items():
+                assert t == cur[key]
+                assert (t is sc.ONE) == t.is_one()
+
+
+def test_tail_mul_product_matches_pbw_engine():
+    for c, d, e in _tails(2):
+        for c2, d2, e2 in _tails(2):
+            f, g = al.monomial(c=c, d=d, e=e), al.monomial(c=c2, d=d2, e=e2)
+            prod = al.Element({key: t for key, t in
+                               al._tail_mul(c, d, e, c2, d2, e2)})
+            assert prod == f * g
+            rhs = al.pbw_mul(al.to_pbw_x(f), al.to_pbw_x(g))
+            assert al.to_pbw_x(prod) == \
+                {k: v for k, v in rhs.items() if not v.is_zero()}
+
+
+def _per_term_pbw(f):
+    """to_pbw_x term by term: one pbw_mul per term, 5-tuple keys."""
+    acc = {}
+    for (a, b, c, d, e), coeff in f.terms.items():
+        central = {key: v * coeff for key, v in al._central_pbw(a, b)}
+        for key, v in al._pbw5(al.pbw_mul(central,
+                                          al._pbw_tail(c, d, e))).items():
+            al._acc(acc, key, v)
+    return acc
+
+
+def test_to_pbw_x_equals_sum_of_term_images(monkeypatch):
+    rng = random.Random(19)
+    central = (x0 + al.xsq_element().scale(sc.q_power(1))) ** 3
+    for _ in range(4):
+        f = rand_algebra_element(rng, 3, 3) * central \
+            + (x0 + x3).scale(lam) ** 4
+        tails = {key[2:] for key in f.terms}
+        assert len(f.terms) > 2 * len(tails)       # tails are shared
+        want = _per_term_pbw(f)
+        assert not any(key[1] for key in want)
+        want = {(n0, nm, np_, n3): v for (n0, _, nm, np_, n3), v in want.items()}
+        assert al.to_pbw_x(f) == want
+        # warm caches, then one pbw_mul per distinct tail
+        calls = []
+        pbw_mul = al.pbw_mul
+
+        def counting(p, g):
+            calls.append(1)
+            return pbw_mul(p, g)
+
+        monkeypatch.setattr(al, "pbw_mul", counting)
+        al.to_pbw_x(f)
+        monkeypatch.setattr(al, "pbw_mul", pbw_mul)
+        assert len(calls) == len(tails)
+
+
+def test_not_in_algebra_detection_with_shared_tails():
+    with pytest.raises(al.NotInAlgebraError) as err:
+        al.to_pbw_x(al.monomial(a=1, c=1) + al.monomial(a=2, b=1, c=1))
+    assert all(key[1] for key in err.value.residue)
+    # xi+ x+ + xi- x+ = x0 x+: the alpha parts cancel within one tail
+    assert al.to_pbw_x(al.monomial(a=1, c=1) + al.monomial(b=1, c=1)) == \
+        {(1, 0, 1, 0): sc.ONE}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_makes_no_wasted_product(monkeypatch, n):
+    calls = []
+    mul = al._mul
+
+    def counting_mul(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    x = x0 + xm
+    want = x
+    for _ in range(n - 1):
+        want = want * x
+    monkeypatch.setattr(al, "_mul", counting_mul)
+    got = x ** n
+    assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+    assert got == want
+    assert x ** 0 == al.one()

@@ -299,3 +299,88 @@ def test_split_from_scratch_stops_at_its_largest_order():
     got = sc._reduce_s_only(num, den)
     assert got == sc._reduce_prs(num, den)
     assert max(got[1])[0] == 992
+
+
+# -- the unit fast path of Scalar.__mul__ --------------------------------------
+
+def _unit_corpus():
+    units = [sc.ONE, -sc.ONE, sc.integer(6), sc.integer(-4), sc.I,
+             sc.s_power(-3) * sc.integer(2), sc.q_power(5) * sc.I * sc.integer(-9)]
+    reduced = [_LAM / _TWO, (sc.integer(3) + _Q) / sc.qfactorial_std(4),
+               sc.integer(6) / (_TWO ** 2 * sc.qnum_std(3)),
+               (sc.I * _Q + sc.R) / (_LAM * sc.integer(10)),
+               (sc.integer(1) + sc.s_power(1) * sc.integer(3)
+                + sc.s_power(2)).inverse() * sc.integer(4),
+               sc.rational(3, 4), sc.rational(-5, 6) * sc.I * sc.R]
+    canon = [(x * _TWO / _LAM).canonical() for x in reduced]
+    mk = [sc.M / (sc.K + _Q * sc.integer(2)),
+          (sc.integer(4) + sc.I * sc.R) / (sc.M * sc.integer(6) + sc.K),
+          (sc.M * sc.K * sc.integer(2)).inverse()]
+    return units, reduced + canon + mk + units + [_LAM, _TWO * sc.R]
+
+
+def test_unit_products_match_light_normalize():
+    units, others = _unit_corpus()
+    for u in units:
+        assert sc._is_unit(u.num) and u.den == {(0, 0, 0): 1}
+        for x in others:
+            want = sc._light_normalize(sc._nmul(u.num, x.num),
+                                       sc._dmul(u.den, x.den))
+            for got in (u * x, x * u):
+                assert (got.num, got.den) == want
+
+
+def test_unit_products_skip_the_denominator_product(monkeypatch):
+    units, others = _unit_corpus()
+    calls = []
+    dmul = sc._dmul
+
+    def counting_dmul(d1, d2):
+        calls.append(1)
+        return dmul(d1, d2)
+
+    monkeypatch.setattr(sc, "_dmul", counting_dmul)
+    for u in units:
+        for x in others:
+            u * x
+            x * u
+    assert calls == []
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_unit_products_match_point_evaluation(seed):
+    import random as _random
+    rng = _random.Random(seed)
+    units, others = _unit_corpus()
+    x = rng.choice(others)
+    for _ in range(4):
+        x = x * rng.choice(others) + rng.choice(others)
+    mirror = _eval_scalar(x)
+    for _ in range(6):
+        u = sc.integer(rng.choice([-3, -1, 1, 2, 5])) * \
+            sc.s_power(rng.randint(-4, 4)) * sc.I ** rng.randint(0, 1)
+        x, mirror = (u * x, _quad_mul(_eval_scalar(u), mirror)) \
+            if rng.randint(0, 1) else (x * u, _quad_mul(mirror, _eval_scalar(u)))
+        assert _eval_scalar(x) == mirror
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_scalar_power_makes_no_wasted_product(monkeypatch, n):
+    x = _LAM / _TWO + sc.I
+    want = sc.ONE
+    for _ in range(n):
+        want = want * x
+    calls = []
+    mul = sc.Scalar.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(sc.Scalar, "__mul__", counting_mul)
+    got = x ** n
+    monkeypatch.undo()
+    assert got == want
+    expected = (n.bit_length() - 1) + (bin(n).count("1") - 1) if n else 0
+    assert len(calls) == expected
