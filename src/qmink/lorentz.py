@@ -1,7 +1,8 @@
 """Spin-1/2 structure behind the calculus: the fundamental representation
 of the rotation algebra, its universal R-matrix, the two four-vector
 R-matrices of the q-Lorentz algebra, and the boost-rotation factorization
-of the L-matrix.
+of the L-matrix.  Every matrix here is a `qmink.matrices.Matrix`; the
+representation and R-matrices have Scalar entries.
 
 Index conventions
 -----------------
@@ -28,134 +29,21 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import scalars as sc
-from .scalars import Scalar, ONE, ZERO
+from .scalars import ONE, ZERO
 from . import algebra as al
 from . import matrices as mx
+from .matrices import Matrix
 
 __all__ = [
-    "RepMatrix", "rep_fundamental", "rmatrix_half", "rmatrices_fourvector",
+    "rep_fundamental", "rmatrix_half", "rmatrices_fourvector",
     "rhat", "yang_baxter_holds", "rr_relation_residual",
     "xx_rel2_residuals", "l_matrix_from_rmatrix", "l_matrix_from_structure",
     "sigma_tilde", "verify_structure",
 ]
 
 
-class RepMatrix:
-    """Matrix with exact Scalar entries (immutable)."""
-
-    __slots__ = ("entries", "basis")
-    __hash__ = None
-
-    def __init__(self, entries, basis=""):
-        entries = tuple(tuple(row) for row in entries)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RepMatrix is immutable")
-
-    @property
-    def dim(self):
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        if isinstance(ij, tuple):
-            return self.entries[ij[0]][ij[1]]
-        return self.entries[ij]
-
-    def __eq__(self, other):
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            a == b for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb))
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
-    def __add__(self, other):
-        return RepMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         self.basis)
-
-    def __sub__(self, other):
-        return RepMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         self.basis)
-
-    def __mul__(self, other):
-        if isinstance(other, RepMatrix):
-            n = self.dim
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = ZERO
-                    for t in range(n):
-                        a = self.entries[i][t]
-                        if a.is_zero():
-                            continue
-                        b = other.entries[t][j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return RepMatrix(out, self.basis)
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        return RepMatrix([[x * c for x in row] for row in self.entries],
-                         self.basis)
-
-    def kron(self, other):
-        n, m = self.dim, other.dim
-        out = [[ZERO] * (n * m) for _ in range(n * m)]
-        for i in range(n):
-            for j in range(n):
-                a = self.entries[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(m):
-                    for l in range(m):
-                        b = other.entries[k][l]
-                        if not b.is_zero():
-                            out[i * m + k][j * m + l] = a * b
-        return RepMatrix(out)
-
-    def inverse(self):
-        n = self.dim
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n)
-                        if not work[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            work[col], work[piv] = work[piv], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return RepMatrix([row[n:] for row in work], self.basis)
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.entries for x in row)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-
-def identity_rep(n):
-    return RepMatrix([[ONE if i == j else ZERO for j in range(n)]
-                      for i in range(n)])
+# qbench's tracer resolves `lorentz.RepMatrix.__mul__` by name.
+RepMatrix = Matrix
 
 
 def rep_fundamental():
@@ -164,10 +52,9 @@ def rep_fundamental():
     K = diag(q^-1, q); the ordering is fixed so that the displayed upper
     triangular L+ matrix of the rotation algebra comes out upper triangular.
     """
-    E = RepMatrix([[ZERO, ZERO], [ONE, ZERO]], basis="spinor")
-    F = RepMatrix([[ZERO, ONE], [ZERO, ZERO]], basis="spinor")
-    K = RepMatrix([[sc.q_power(-1), ZERO], [ZERO, sc.q_power(1)]],
-                  basis="spinor")
+    E = Matrix([[ZERO, ZERO], [ONE, ZERO]])
+    F = Matrix([[ZERO, ONE], [ZERO, ZERO]])
+    K = Matrix([[sc.q_power(-1), ZERO], [ZERO, sc.q_power(1)]])
     return E, F, K
 
 
@@ -181,9 +68,9 @@ def rmatrix_half():
     E, F, _ = rep_fundamental()
     lam = sc.lambda_()
     pref = [sc.s_power(1), sc.s_power(-1), sc.s_power(-1), sc.s_power(1)]
-    base = identity_rep(4) + E.kron(F).scale(lam)
-    return RepMatrix([[base.entries[i][j] * pref[i] for j in range(4)]
-                      for i in range(4)], basis="spinor-pair")
+    base = mx.identity(4, ONE) + E.kron(F).scale(lam)
+    return Matrix([[base.entries[i][j] * pref[i] for j in range(4)]
+                   for i in range(4)])
 
 
 def yang_baxter_holds():
@@ -213,7 +100,7 @@ def _embed_legs(R, nlegs, a, b):
                     col = (col << 1) | cbits[t]
                 cur = out[row][col]
                 out[row][col] = v if cur.is_zero() else cur + v
-    return RepMatrix(out)
+    return Matrix(out)
 
 
 def _pair_swap_16():
@@ -222,7 +109,7 @@ def _pair_swap_16():
     for a in range(4):
         for b in range(4):
             out[a * 4 + b][b * 4 + a] = ONE
-    return RepMatrix(out)
+    return Matrix(out)
 
 
 @lru_cache(maxsize=None)
@@ -243,18 +130,8 @@ def rmatrices_fourvector():
     RI, RII = P * RI * P, P * RII * P
     # spinor-pair -> four-vector conjugation with T = C^T on both slots
     T, Ti = mx._basis_change_pair()
-    TT = _kron_scalar(T, T)
-    TTi = _kron_scalar(Ti, Ti)
-    RI = TT * RepMatrix(RI.entries) * TTi
-    RII = TT * RepMatrix(RII.entries) * TTi
-    return (RepMatrix(RI.entries, basis="fourvec-pair"),
-            RepMatrix(RII.entries, basis="fourvec-pair"))
-
-
-def _kron_scalar(A, B):
-    return RepMatrix(
-        [[A[i // 4][j // 4] * B[i % 4][j % 4] for j in range(16)]
-         for i in range(16)])
+    TT, TTi = T.kron(T), Ti.kron(Ti)
+    return TT * RI * TTi, TT * RII * TTi
 
 
 def rhat(M):
@@ -266,7 +143,7 @@ def rhat(M):
 def rr_relation_residual():
     """(1 + q Rhat_II)(1 - Rhat_I); zero exactly."""
     RI, RII = rmatrices_fourvector()
-    eye = identity_rep(16)
+    eye = mx.identity(16, ONE)
     return (eye + rhat(RII).scale(sc.q_power(1))) * (eye - rhat(RI))
 
 
@@ -312,7 +189,7 @@ def l_matrix_from_rmatrix(nu):
                     acc = acc + coords[nup].scale(coeff)
             row.append(acc)
         rows.append(row)
-    return mx.AlgMatrix(rows, basis="fourvec")
+    return Matrix(rows)
 
 
 # -- boost-rotation factorization -----------------------------------------------
@@ -376,7 +253,7 @@ def l_matrix_from_structure(alpha):
                                 acc = acc + entry.try_clear().scale(c1 * c2)
                     row.append(acc)
             rows.append(row)
-    return mx.AlgMatrix(rows, basis="spinor")
+    return Matrix(rows)
 
 
 # -- q-Pauli variants --------------------------------------------------------------
@@ -385,14 +262,11 @@ def sigma_tilde(a):
     """The q-Pauli variants; a in ('-', '3', '+'), basis (-, +)."""
     rt = sc.R
     if a == "-":
-        return RepMatrix([[ZERO, rt * sc.s_power(1)], [ZERO, ZERO]],
-                         basis="spinor")
+        return Matrix([[ZERO, rt * sc.s_power(1)], [ZERO, ZERO]])
     if a == "+":
-        return RepMatrix([[ZERO, ZERO], [-rt * sc.s_power(-1), ZERO]],
-                         basis="spinor")
+        return Matrix([[ZERO, ZERO], [-rt * sc.s_power(-1), ZERO]])
     if a == "3":
-        return RepMatrix([[-sc.q_power(-1), ZERO], [ZERO, sc.q_power(1)]],
-                         basis="spinor")
+        return Matrix([[-sc.q_power(-1), ZERO], [ZERO, sc.q_power(1)]])
     raise KeyError(a)
 
 
@@ -424,6 +298,6 @@ def verify_structure():
     results.append(("boost-rotation factorization", ok_fact))
     s3 = sigma_tilde("3")
     results.append(("sigma~3 = diag(-q^-1, q)",
-                    s3 == RepMatrix([[-sc.q_power(-1), ZERO],
-                                     [ZERO, sc.q_power(1)]])))
+                    s3 == Matrix([[-sc.q_power(-1), ZERO],
+                                  [ZERO, sc.q_power(1)]])))
     return results

@@ -1,6 +1,11 @@
-"""Algebra-valued matrices: boost and L matrices, closed-form powers,
-the characteristic identity of L_{x0}, spectral projectors and functions
-of L_{x0}.
+"""The one matrix type of qmink and the algebra-valued matrices built
+from it: boost and L matrices, closed-form powers, the characteristic
+identity of L_{x0}, spectral projectors and functions of L_{x0}.
+
+`Matrix` is a square matrix over a ring, in the sense of Faddeev,
+Reshetikhin and Takhtajan: either over the coefficient field (`Scalar`
+entries; the R-matrices of `qmink.lorentz`, the basis change) or over the
+delta-localized algebra (`Localized` entries; the L matrices).
 
 Four-vector indices are ordered (0, -, +, 3).  The spinor-pair basis is
 ordered (--, -+, +-, ++); the basis change is the coordinate relation
@@ -24,7 +29,7 @@ from . import algebra as al
 from .algebra import Element, Localized
 
 __all__ = [
-    "AlgMatrix", "FOURVEC_INDEX", "SPINOR_PAIR_INDEX",
+    "Matrix", "identity", "FOURVEC_INDEX", "SPINOR_PAIR_INDEX",
     "b_matrix", "l_matrix", "l_matrix_spinor", "basis_change_matrix",
     "mat_pow_naive", "b_pow_closed", "l_pow_closed",
     "char_check_l0", "char_check_b0", "char_residual",
@@ -38,115 +43,145 @@ SPINOR_PAIR_INDEX = ("--", "-+", "+-", "++")
 _GEN_OF_INDEX = ("x0", "xm", "xp", "x3")
 
 
-class AlgMatrix:
-    """Square matrix with Localized entries (immutable)."""
+class Matrix:
+    """Square matrix over Scalar or over Localized entries (immutable).
 
-    __slots__ = ("entries", "basis")
+    A matrix stays over Scalar when every entry is a Scalar; otherwise
+    every entry is lifted to Localized.  The product of a Scalar and a
+    Localized matrix is Localized.
+    """
+
+    __slots__ = ("entries",)
     __hash__ = None
 
-    def __init__(self, entries, basis="fourvec"):
-        entries = tuple(tuple(_as_localized(x) for x in row) for row in entries)
+    def __init__(self, entries):
+        entries = tuple(tuple(row) for row in entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
+        if not all(isinstance(x, Scalar) for row in entries for x in row):
+            entries = tuple(tuple(_as_localized(x) for x in row)
+                            for row in entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, *a):
-        raise AttributeError("AlgMatrix is immutable")
+        raise AttributeError("Matrix is immutable")
 
     @property
     def dim(self):
         return len(self.entries)
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        """M[i, j] is an entry, M[i] a row."""
+        if isinstance(ij, tuple):
+            return self.entries[ij[0]][ij[1]]
+        return self.entries[ij]
 
     def __eq__(self, other):
-        if not isinstance(other, AlgMatrix):
+        if not isinstance(other, Matrix):
             return NotImplemented
         return self.dim == other.dim and all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.dim) for j in range(self.dim))
+            a == b for ra, rb in zip(self.entries, other.entries)
+            for a, b in zip(ra, rb))
 
     def __ne__(self, other):
         r = self.__eq__(other)
         return NotImplemented if r is NotImplemented else not r
 
     def __add__(self, other):
-        return AlgMatrix([[self.entries[i][j] + other.entries[i][j]
-                           for j in range(self.dim)]
-                          for i in range(self.dim)], self.basis)
+        return Matrix([[a + b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        return AlgMatrix([[self.entries[i][j] - other.entries[i][j]
-                           for j in range(self.dim)]
-                          for i in range(self.dim)], self.basis)
+        return Matrix([[a - b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return AlgMatrix([[-x for x in row] for row in self.entries],
-                         self.basis)
+        return Matrix([[-x for x in row] for row in self.entries])
 
     def __mul__(self, other):
-        if isinstance(other, AlgMatrix):
-            n = self.dim
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = _LOC_ZERO
-                    for t in range(n):
-                        a = self.entries[i][t]
-                        b = other.entries[t][j]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return AlgMatrix(out, self.basis)
-        if isinstance(other, (Scalar, Element, Localized)):
-            return AlgMatrix([[x * _as_localized(other) for x in row]
-                              for row in self.entries], self.basis)
+        if isinstance(other, Matrix):
+            zero = _zero_of(self.entries[0][0])
+            if zero is ZERO:
+                zero = _zero_of(other.entries[0][0])
+            cols = tuple(zip(*other.entries))
+            return Matrix([[_dot(row, col, zero) for col in cols]
+                           for row in self.entries])
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        if isinstance(other, (Element, Localized)):
+            o = _as_localized(other)
+            return Matrix([[x * o for x in row] for row in self.entries])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (Scalar, Element, Localized)):
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        if isinstance(other, (Element, Localized)):
             o = _as_localized(other)
-            return AlgMatrix([[o * x for x in row] for row in self.entries],
-                             self.basis)
+            return Matrix([[o * x for x in row] for row in self.entries])
         return NotImplemented
 
     def scale(self, c):
-        return AlgMatrix([[x * c for x in row] for row in self.entries],
-                         self.basis)
+        return Matrix([[x * c for x in row] for row in self.entries])
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of Localized."""
         vec = [_as_localized(v) for v in vec]
-        out = []
-        for i in range(self.dim):
-            acc = _LOC_ZERO
-            for t in range(self.dim):
-                a = self.entries[i][t]
-                if a.is_zero() or vec[t].is_zero():
-                    continue
-                acc = acc + a * vec[t]
-            out.append(acc)
-        return out
+        return [_dot(row, vec, _LOC_ZERO) for row in self.entries]
+
+    def kron(self, other):
+        """Kronecker product: entry (i m + k, j m + l) is M[i, j] N[k, l]."""
+        return Matrix([[a * b for a in ra for b in rb]
+                       for ra in self.entries for rb in other.entries])
+
+    def inverse(self):
+        """Gauss-Jordan inverse of a Scalar matrix; ZeroDivisionError if
+        it is singular."""
+        n = self.dim
+        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+                for i, row in enumerate(self.entries)]
+        for col in range(n):
+            piv = next((r for r in range(col, n)
+                        if not work[r][col].is_zero()), None)
+            if piv is None:
+                raise ZeroDivisionError("singular matrix")
+            work[col], work[piv] = work[piv], work[col]
+            inv = work[col][col].inverse()
+            work[col] = [x * inv for x in work[col]]
+            for r in range(n):
+                if r != col and not work[r][col].is_zero():
+                    f = work[r][col]
+                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+        return Matrix([row[n:] for row in work])
+
+    def commutator(self, other):
+        return self * other - other * self
 
     def is_zero(self):
         return all(x.is_zero() for row in self.entries for x in row)
 
     def try_clear(self):
         """Entrywise delta clearing; raises DeltaDivisionError on failure."""
-        return AlgMatrix([[Localized.of(x.try_clear()) for x in row]
-                          for row in self.entries], self.basis)
+        return Matrix([[x.try_clear() for x in row] for row in self.entries])
 
     def __repr__(self):
         rows = []
         for row in self.entries:
             rows.append("[" + ", ".join(repr(x) for x in row) + "]")
-        return "AlgMatrix([\n  " + ",\n  ".join(rows) + "\n])"
+        return "Matrix([\n  " + ",\n  ".join(rows) + "\n])"
+
+
+def _dot(row, col, zero):
+    """Sum of the nonzero products row[t] col[t], begun from the first one
+    (a sum begun from a zero Scalar takes the general path whenever the
+    denominators differ); zero when there is none."""
+    acc = None
+    for a, b in zip(row, col):
+        if a.is_zero() or b.is_zero():
+            continue
+        acc = a * b if acc is None else acc + a * b
+    return zero if acc is None else acc
 
 
 def _as_localized(x):
@@ -160,20 +195,36 @@ def _as_localized(x):
 
 
 _LOC_ZERO = Localized.of(al.zero())
+_LOC_ONE = Localized.of(al.one())
 
 
-def identity(dim, basis="fourvec"):
-    one = Localized.of(al.one())
-    return AlgMatrix([[one if i == j else _LOC_ZERO for j in range(dim)]
-                      for i in range(dim)], basis)
+def _zero_of(x):
+    """The zero of the ring of x: Scalar or Localized."""
+    return ZERO if isinstance(x, Scalar) else _LOC_ZERO
+
+
+def identity(dim, one=_LOC_ONE):
+    """The unit matrix over the ring of `one`: Localized by default,
+    Scalar for identity(dim, ONE)."""
+    zero = _zero_of(one)
+    return Matrix([[one if i == j else zero for j in range(dim)]
+                   for i in range(dim)])
 
 
 def mat_pow_naive(mat, n):
     """Repeated normal-ordered multiplication (the power oracle)."""
-    out = identity(mat.dim, mat.basis)
+    out = identity(mat.dim)
     for _ in range(n):
         out = out * mat
     return out
+
+
+def _block_upper(a, b, d):
+    """The 4x4 matrix [[a, b], [0, d]] of 2x2 blocks; b None is zero."""
+    z = (_LOC_ZERO, _LOC_ZERO)
+    top = (z, z) if b is None else b.entries
+    return Matrix([a.entries[0] + top[0], a.entries[1] + top[1],
+                   z + d.entries[0], z + d.entries[1]])
 
 
 # -- boost matrices (verbatim, converted to the internal basis) ---------------
@@ -216,7 +267,7 @@ def b_matrix(alpha):
         return m30 + m0
     else:
         raise KeyError(f"no boost matrix for {alpha!r}")
-    return AlgMatrix(rows, basis="spinor")
+    return Matrix(rows)
 
 
 @lru_cache(maxsize=None)
@@ -225,34 +276,22 @@ def l_matrix_spinor(alpha):
     lam = sc.lambda_()
     rtwo = sc.R                           # [2]^(1/2)
     sqi = sc.s_power(-1)
-    z2 = AlgMatrix([[al.zero(), al.zero()], [al.zero(), al.zero()]],
-                   basis="spinor")
     if alpha == "x0":
-        blocks = [[b_matrix("x0"), z2], [z2, b_matrix("x0")]]
-    elif alpha == "xm":
-        blocks = [[b_matrix("xm").scale(sc.q_power(1)),
-                   b_matrix("x3").scale(sqi * lam * rtwo)],
-                  [z2, b_matrix("xm").scale(sc.q_power(-1))]]
-    elif alpha == "xp":
-        blocks = [[b_matrix("xp").scale(sc.q_power(-1)), z2],
-                  [z2, b_matrix("xp").scale(sc.q_power(1))]]
-    elif alpha == "x30":
-        blocks = [[b_matrix("x30"), b_matrix("xp").scale(sqi * lam * rtwo)],
-                  [z2, b_matrix("x30")]]
-    elif alpha == "x3":
+        return _block_upper(b_matrix("x0"), None, b_matrix("x0"))
+    if alpha == "xm":
+        return _block_upper(b_matrix("xm").scale(sc.q_power(1)),
+                            b_matrix("x3").scale(sqi * lam * rtwo),
+                            b_matrix("xm").scale(sc.q_power(-1)))
+    if alpha == "xp":
+        return _block_upper(b_matrix("xp").scale(sc.q_power(-1)), None,
+                            b_matrix("xp").scale(sc.q_power(1)))
+    if alpha == "x30":
+        return _block_upper(b_matrix("x30"),
+                            b_matrix("xp").scale(sqi * lam * rtwo),
+                            b_matrix("x30"))
+    if alpha == "x3":
         return l_matrix_spinor("x30") + l_matrix_spinor("x0")
-    else:
-        raise KeyError(f"no L matrix for {alpha!r}")
-    rows = []
-    for bi in range(2):
-        for i in range(2):
-            row = []
-            for bj in range(2):
-                blk = blocks[bi][bj]
-                for j in range(2):
-                    row.append(blk.entries[i][j])
-            rows.append(row)
-    return AlgMatrix(rows, basis="spinor")
+    raise KeyError(f"no L matrix for {alpha!r}")
 
 
 def basis_change_matrix():
@@ -260,10 +299,10 @@ def basis_change_matrix():
     r = sc.R
     s1, s3, sm1 = sc.s_power(1), sc.s_power(3), sc.s_power(-1)
     z = ZERO
-    return ((z, r, z, z),
-            (-s1, z, z, s1),
-            (s3, z, z, sm1),
-            (z, z, r, z))
+    return Matrix([(z, r, z, z),
+                   (-s1, z, z, s1),
+                   (s3, z, z, sm1),
+                   (z, z, r, z)])
 
 
 def _basis_change_pair():
@@ -272,41 +311,18 @@ def _basis_change_pair():
     r_over_two = sc.R * two_inv
     sm1, sm3 = sc.s_power(-1), sc.s_power(-3)
     z = ZERO
-    C = basis_change_matrix()
-    T = tuple(tuple(C[i][j] for i in range(4)) for j in range(4))
     # C^-1 assembled from the inverted coordinate relations
     Cinv = ((z, -sm3 * two_inv, sm1 * two_inv, z),
             (r_over_two, z, z, z),
             (z, z, z, r_over_two),
             (z, sm1 * two_inv * sc.q_power(1), sm1 * two_inv, z))
-    Tinv = tuple(tuple(Cinv[j][i] for j in range(4)) for i in range(4))
-    return T, Tinv
+    return Matrix(zip(*basis_change_matrix().entries)), Matrix(zip(*Cinv))
 
 
 def _conjugate_to_fourvec(mat):
-    """T M T^-1 with T = C^T; entries stay Localized."""
+    """T M T^-1 with T = C^T: a spinor-pair matrix in the four-vector basis."""
     T, Tinv = _basis_change_pair()
-    n = 4
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = _LOC_ZERO
-            for u in range(n):
-                tiu = T[i][u]
-                if tiu.is_zero():
-                    continue
-                for v in range(n):
-                    tvj = Tinv[v][j]
-                    if tvj.is_zero():
-                        continue
-                    entry = mat.entries[u][v]
-                    if entry.is_zero():
-                        continue
-                    acc = acc + entry * (tiu * tvj)
-            row.append(acc)
-        out.append(row)
-    return AlgMatrix(out, basis="fourvec")
+    return T * mat * Tinv
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +389,7 @@ def projectors():
                                      else -two_over_lambda)
                 row.append((term * half).divide_by_delta(1))
             rows.append(row)
-        out.append(AlgMatrix(rows, basis="fourvec"))
+        out.append(Matrix(rows))
     return out[0], out[1]
 
 
@@ -404,7 +420,7 @@ def f_of_l0(coeffs):
                 entry = entry + Localized.of(avg)
             row.append(entry)
         out.append(row)
-    return AlgMatrix(out, basis="fourvec")
+    return Matrix(out)
 
 
 def _eval_poly(coeffs, x):
@@ -424,25 +440,24 @@ def b_pow_closed(alpha, n):
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
-        return identity(2, "spinor")
+        return identity(2)
     lam = sc.lambda_()
     two = sc.two_q()
     rinv = sc.R * two.inverse()
     if alpha == "x30":
         x30n = al.monomial(d=n)
-        return AlgMatrix(
-            [[x30n.scale(sc.q_power(-n)), al.zero()],
-             [al.zero(), x30n.scale(sc.q_power(n))]], "spinor")
+        return Matrix([[x30n.scale(sc.q_power(-n)), al.zero()],
+                       [al.zero(), x30n.scale(sc.q_power(n))]])
     if alpha == "xm":
         xmn = al.monomial(e=n)
         off = al.monomial(d=1) * al.monomial(e=n - 1)
         coeff = sc.s_power(-1) * lam * rinv * sc.q_power(n - 1) * sc.qnum_sym(n)
-        return AlgMatrix([[xmn, off.scale(coeff)], [al.zero(), xmn]], "spinor")
+        return Matrix([[xmn, off.scale(coeff)], [al.zero(), xmn]])
     if alpha == "xp":
         xpn = al.monomial(c=n)
         off = al.monomial(d=1) * al.monomial(c=n - 1)
         coeff = -sc.s_power(1) * lam * rinv * sc.q_power(1 - n) * sc.qnum_sym(n)
-        return AlgMatrix([[xpn, al.zero()], [off.scale(coeff), xpn]], "spinor")
+        return Matrix([[xpn, al.zero()], [off.scale(coeff), xpn]])
     if alpha == "x0":
         return _cayley_pow(b_matrix("x0"), n)
     raise KeyError(f"no closed power for {alpha!r}")
@@ -451,13 +466,13 @@ def b_pow_closed(alpha, n):
 def _cayley_pow(mat, n):
     """M^n = S_n M - c S_{n-1} from the characteristic equation of B/L_{x0}."""
     if n == 0:
-        return identity(mat.dim, mat.basis)
+        return identity(mat.dim)
     if n == 1:
         return mat
     sn = chebyshev_s(n)
     snm1 = chebyshev_s(n - 1)
     c = c_center()
-    eye = identity(mat.dim, mat.basis)
+    eye = identity(mat.dim)
     return mat * Localized.of(sn) - eye * Localized.of(c * snm1)
 
 
@@ -473,11 +488,10 @@ def l_pow_closed(alpha, n):
     sqi = sc.s_power(-1)
     if alpha == "x0":
         return _cayley_pow(l_matrix("x0"), n)
-    z2 = AlgMatrix([[al.zero(), al.zero()], [al.zero(), al.zero()]], "spinor")
     if alpha == "xp":
         bp = b_pow_closed("xp", n)
-        blocks = [[bp.scale(sc.q_power(-n)), z2],
-                  [z2, bp.scale(sc.q_power(n))]]
+        spin = _block_upper(bp.scale(sc.q_power(-n)), None,
+                            bp.scale(sc.q_power(n)))
     elif alpha == "xm":
         bm = b_pow_closed("xm", n)
         bmm1 = b_pow_closed("xm", n - 1)
@@ -485,25 +499,16 @@ def l_pow_closed(alpha, n):
             sc.q_power(n - 1) * sc.qnum_sym(2 * n) * two.inverse()) + \
             b_matrix("x0").scale(sc.qnum_sym(n))
         off = (mid * bmm1).scale(sqi * lam * rtwo)
-        blocks = [[bm.scale(sc.q_power(n)), off],
-                  [z2, bm.scale(sc.q_power(-n))]]
+        spin = _block_upper(bm.scale(sc.q_power(n)), off,
+                            bm.scale(sc.q_power(-n)))
     elif alpha == "x30":
         b30 = b_pow_closed("x30", n)
         off = (b_matrix("xp") * b_pow_closed("x30", n - 1)).scale(
             sqi * lam * rtwo * sc.q_power(n - 1) * sc.qnum_sym(n))
-        blocks = [[b30, off], [z2, b30]]
+        spin = _block_upper(b30, off, b30)
     else:
         raise KeyError(f"no closed power for {alpha!r}")
-    rows = []
-    for bi in range(2):
-        for i in range(2):
-            row = []
-            for bj in range(2):
-                blk = blocks[bi][bj]
-                for j in range(2):
-                    row.append(blk.entries[i][j])
-            rows.append(row)
-    return _conjugate_to_fourvec(AlgMatrix(rows, basis="spinor"))
+    return _conjugate_to_fourvec(spin)
 
 
 # -- characteristic identity ----------------------------------------------------
@@ -511,7 +516,7 @@ def l_pow_closed(alpha, n):
 def char_residual(mat):
     """M^2 - [2] x0 M + ((x0)^2 + lambda^2/[2]^2 x^2) 1."""
     two = sc.two_q()
-    eye = identity(mat.dim, mat.basis)
+    eye = identity(mat.dim)
     return (mat * mat) - (mat * Localized.of(al.x0_element().scale(two))) + \
         eye * Localized.of(c_center())
 
@@ -535,16 +540,13 @@ def l_action(f):
     quantum matrix), so the action extends over PBW words; well-definedness
     holds because the L_{x_alpha} satisfy the defining relations.
     """
-    acc = None
+    acc = Matrix([[al.zero()] * 4 for _ in range(4)])
     for (n0, nm, np_, n3), coeff in al.to_pbw_x(f).items():
         term = identity(4)
         for gen, count in (("x0", n0), ("xm", nm), ("xp", np_), ("x3", n3)):
             for _ in range(count):
                 term = term * l_matrix(gen)
-        term = term.scale(coeff)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return AlgMatrix([[al.zero()] * 4 for _ in range(4)], "fourvec")
+        acc = acc + term.scale(coeff)
     return acc
 
 
@@ -576,8 +578,7 @@ def l_x0_explicit():
          x0el.scale(four_over_two) - x3el.scale(lam * lam)],
     ]
     inv2 = two.inverse()
-    return AlgMatrix([[x.scale(inv2) for x in row] for row in rows],
-                     basis="fourvec")
+    return Matrix([[x.scale(inv2) for x in row] for row in rows])
 
 
 # -- metric and derived vectors --------------------------------------------------

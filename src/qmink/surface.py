@@ -22,10 +22,9 @@ from . import algebra as al
 from .algebra import Element
 
 __all__ = [
-    "ParseError", "MAX_INPUT_DEGREE", "parse", "parse_element", "parse_scalar",
-    "scalar_to_str", "element_to_str", "element_to_json",
+    "ParseError", "MAX_INPUT_DEGREE", "MAX_NESTING", "parse", "parse_element",
+    "parse_scalar", "scalar_to_str", "element_to_str", "element_to_json",
     "element_from_json", "gradient_to_json",
-    "print_canonical", "to_json", "from_json",
     "Lit", "Sym", "Gen", "Add", "Mul", "Pow", "Neg", "Div",
 ]
 
@@ -36,6 +35,12 @@ __all__ = [
 # Powers of a monomial such as q^240 cost nothing and are not bounded: the
 # printed 1/[[n]]! carries q^(n(n-1)).
 MAX_INPUT_DEGREE = 64
+
+# Deepest nesting of parentheses and unary minus signs accepted as input.
+# The parser takes four stack frames per parenthesis and evaluation one per
+# level; 100 levels stay well inside Python's default recursion limit of
+# 1000 frames, with room for callers such as pytest or a tracer.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -134,6 +139,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -230,12 +236,18 @@ class _Parser:
             return Sym(val)
         if kind == "name":
             return Gen(_GEN_ALIASES[val])
-        if kind == "op" and val == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
+        if kind == "op" and val in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} "
+                                 f"parentheses and unary minus signs", pos)
+            if val == "(":
+                node = self.parse_expr()
+                self.expect_op(")")
+            else:
+                node = Neg(self.parse_atom())
+            self.depth -= 1
             return node
-        if kind == "op" and val == "-":
-            return Neg(self.parse_atom())
         raise _unexpected(tok, f"unexpected token {val!r}")
 
 
@@ -460,8 +472,3 @@ def gradient_to_json(components):
                    "delta_power": loc.dpow}
     return json.dumps(out)
 
-
-# contract-level aliases
-print_canonical = element_to_str
-to_json = element_to_json
-from_json = element_from_json

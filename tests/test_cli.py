@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import qmink
 from qmink import cli
 
 
@@ -51,6 +55,33 @@ def test_parse_error_exit_code(capsys):
 def test_truncated_input_exit_code(capsys):
     assert cli.main(["normalize", "x0 * (xm"]) == 2
     assert "unexpected end of input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["(" * 250 + "x0" + ")" * 250,
+                                  "x0+" + "-" * 2000 + "x0"])
+def test_deep_nesting_exits_2_without_traceback(text):
+    src = os.path.dirname(os.path.dirname(qmink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qmink.cli", "normalize",
+                           text], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nesting deeper than" in proc.stderr
+
+
+def test_nesting_at_the_bound_normalizes(capsys):
+    n = cli.sf.MAX_NESTING
+    _, want = run(capsys, "normalize", "x0")
+    for text in ("(" * n + "x0" + ")" * n, "0+" + "-" * n + "x0",
+                 "(-" * (n // 2) + "x0" + ")" * (n // 2)):
+        assert run(capsys, "normalize", text) == (0, want)
+    # depth counts open groups, not all groups seen
+    assert run(capsys, "normalize", "(x0)" + "+(x0)-(-x0)" * n)[0] == 0
+    for text in ("(" * (n + 1) + "x0" + ")" * (n + 1),
+                 "0+" + "-" * (n + 1) + "x0"):
+        assert cli.main(["normalize", text]) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
 
 
 def test_size_bound_exit_code(capsys):

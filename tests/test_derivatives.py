@@ -191,7 +191,7 @@ def test_kappa_l_on_central_functions():
             g = g + al.xsq_element() ** rng.randint(0, 1) * \
                 al.x0_element() ** rng.randint(0, 2)
         lhs_mat = mx.l_action(g)
-        lhs = mx.AlgMatrix(
+        lhs = mx.Matrix(
             [[mx._as_localized(al.scale_kappa(
                 lhs_mat.entries[i][j].try_clear()))
               for j in range(4)] for i in range(4)])

@@ -1,3 +1,5 @@
+import pytest
+
 from qmink import algebra as al
 from qmink import lorentz as lz
 from qmink import matrices as mx
@@ -107,3 +109,15 @@ def test_basis_change_invertible_and_central_images():
 def test_verify_structure_all_green():
     results = lz.verify_structure()
     assert all(ok for _, ok in results), results
+
+
+def test_scalar_matrix_inverse():
+    E, F, K = lz.rep_fundamental()
+    # E + F has a zero pivot, so its inverse needs a row swap
+    for M in (lz.rmatrix_half(), K, E + F):
+        assert M * M.inverse() == mx.identity(M.dim, sc.ONE)
+        assert M.inverse() * M == mx.identity(M.dim, sc.ONE)
+    # determinant 1 - q q^-1 = 0
+    singular = mx.Matrix([[sc.ONE, sc.q_power(1)], [sc.q_power(-1), sc.ONE]])
+    with pytest.raises(ZeroDivisionError):
+        singular.inverse()

@@ -60,7 +60,7 @@ def test_char_residual_detects_sign_flips():
     base = mx.l_x0_explicit()
     rows = [list(r) for r in base.entries]
     rows[2][0] = -rows[2][0]
-    flipped = mx.AlgMatrix(rows, basis="fourvec")
+    flipped = mx.Matrix(rows)
     assert not mx.char_residual(flipped).is_zero()
 
 
@@ -77,6 +77,14 @@ def test_block_form_consistency():
                     assert spin.entries[2 * bi + i][2 * bj + j] == want
 
 
+def test_scalar_factor_scales_entrywise():
+    L = mx.l_matrix("x0")
+    c = sc.lambda_() * two.inverse() + sc.q_power(3)
+    assert L * c == L.scale(c) == c * L
+    assert L * c == L * loc(al.one().scale(c))
+    assert (L * c)[0, 0] == L[0, 0] * c
+
+
 def test_char_checks():
     assert mx.char_check_l0() is True
     assert mx.char_check_b0() is True
@@ -91,7 +99,7 @@ def test_char_check_negative_control():
 def AlgCorner():
     rows = [[al.one() if i == j == 0 else al.zero() for j in range(4)]
             for i in range(4)]
-    return mx.AlgMatrix(rows)
+    return mx.Matrix(rows)
 
 
 @pytest.mark.parametrize("alpha", ["x0", "xm", "xp", "x30"])
