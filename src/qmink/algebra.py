@@ -40,7 +40,7 @@ __all__ = [
     "from_surface",
     "delta_element", "x0_element", "xsq_element",
     "scale_kappa", "div_central", "to_pbw_x", "pbw_to_element", "pbw_mul",
-    "SURFACE_GENS",
+    "mul_into", "SURFACE_GENS",
 ]
 
 SURFACE_GENS = ("x0", "xm", "xp", "x3")
@@ -299,6 +299,22 @@ def _mul(f, g):
                 _acc(acc, (a + a2 + da, b + b2 + db, c3, d3, e3),
                      vc if t is ONE else vc * t)
     return Element(acc, _copy=False)
+
+
+def mul_into(acc, f, g):
+    """Add the terms of f * g to acc, a `scalars.SumOfProducts` keyed by
+    basis monomial, reducing no coefficient.  A tail product that is one
+    monomial with coefficient 1 defers v * coeff to the accumulator too."""
+    for (a2, b2, c2, d2, e2), coeff in g.terms.items():
+        for (a, b, c, d, e), v in f.terms.items():
+            table = _tail_mul(c, d, e, c2, d2, e2)
+            if len(table) == 1 and table[0][1] is ONE:
+                (da, db, c3, d3, e3), _ = table[0]
+                acc.add((a + a2 + da, b + b2 + db, c3, d3, e3), v, coeff)
+                continue
+            vc = v * coeff
+            for (da, db, c3, d3, e3), t in table:
+                acc.add((a + a2 + da, b + b2 + db, c3, d3, e3), vc, t)
 
 
 # -- standard elements -------------------------------------------------------

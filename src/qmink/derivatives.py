@@ -23,10 +23,17 @@ Two independent implementations are kept side by side:
   only; the standalone `OrderedPoly` makes the ordering explicit.
 
   Every term shares the central denominator delta = xi+ - xi-: the
-  projectors are (...)/delta.  So each component's numerator is
-  accumulated as a plain term dict over delta^1, from cached numerators
-  of Pi+- nabla x0 and of delta (Pi+ q^{2a} + Pi- q^{2b}), and divided by
-  delta once, when the component's `Localized` is built.
+  projectors are (...)/delta.  So each component's numerator is summed
+  over delta^1, from cached numerators of Pi+- nabla x0 and of
+  delta (Pi+ q^{2a} + Pi- q^{2b}), and divided by delta once, when the
+  component's `Localized` is built.
+
+Both gradients sum, then reduce.  Each component is a
+`scalars.SumOfProducts` fed by `algebra.mul_into`: the coefficient
+products of a term are multiplied out without normalizing, grouped by
+their denominator, and each group is reduced once, when the component is
+built.  The oracle folds the unit q into the L entries once per word, and
+sums both its recursion and its outer sum over PBW words this way.
 
 All index vectors are in the four-vector order (0, -, +, 3).
 """
@@ -214,31 +221,31 @@ def _oracle_word(word):
         return ((al.zero(),) * 4, al.one())
     gen, rest = word[0], word[1:]
     comps_rest, el_rest = _oracle_word(rest)
-    L = _l_entries(gen)
     q1 = sc.q_power(1)
-    comps = []
-    for mu in range(4):
-        acc = el_rest if _GEN_INDEX[gen] == mu else al.zero()
-        for nu in range(4):
-            if comps_rest[nu].is_zero() or L[mu][nu].is_zero():
-                continue
-            acc = acc + (L[mu][nu] * comps_rest[nu]).scale(q1)
-        comps.append(acc)
-    return (tuple(comps), al.gen_element(gen) * el_rest)
+    accs = [sc.SumOfProducts() for _ in range(4)]
+    for key, c in el_rest.terms.items():
+        accs[_GEN_INDEX[gen]].add(key, c, sc.ONE)
+    for acc, row in zip(accs, _l_entries(gen)):
+        for lmn, comp in zip(row, comps_rest):
+            if lmn and comp:
+                al.mul_into(acc, lmn.scale(q1), comp)
+    return (tuple(Element(acc.result(), _copy=False) for acc in accs),
+            al.gen_element(gen) * el_rest)
 
 
 def grad_oracle(f):
     """Gradient by the coproduct recursion over PBW words (ground truth)."""
     if isinstance(f, Localized):
         f = f.try_clear()
-    comps = [al.zero()] * 4
+    accs = [sc.SumOfProducts() for _ in range(4)]
     for (n0, nm, np_, n3), coeff in al.to_pbw_x(f).items():
         word = ("x0",) * n0 + ("xm",) * nm + ("xp",) * np_ + ("x3",) * n3
         wcomps, _ = _oracle_word(word)
-        for mu in range(4):
-            if not wcomps[mu].is_zero():
-                comps[mu] = comps[mu] + wcomps[mu].scale(coeff)
-    return Gradient.of_elements(comps)
+        for acc, comp in zip(accs, wcomps):
+            for key, c in comp.terms.items():
+                acc.add(key, c, coeff)
+    return Gradient.of_elements(Element(acc.result(), _copy=False)
+                                for acc in accs)
 
 
 # -- the closed chain rule -------------------------------------------------------
@@ -293,7 +300,7 @@ def grad_closed(f):
     """
     if isinstance(f, Localized):
         f = f.try_clear()
-    nums = ({}, {}, {}, {})     # component numerators over delta^1
+    accs = [sc.SumOfProducts() for _ in range(4)]   # numerators over delta^1
     pi_plus = _pi_nabla(+1)
     pi_minus = _pi_nabla(-1)
     for key, coeff in f.terms.items():
@@ -302,23 +309,23 @@ def grad_closed(f):
         # central Jackson terms against nabla xi+- = Pi+- nabla x0
         if a:
             pref = al.monomial(a - 1, b, coeff=coeff * sc.qnum_std(a))
-            for acc, pi in zip(nums, pi_plus):
+            for acc, pi in zip(accs, pi_plus):
                 if pi:
-                    al._add_into(acc, (pref * pi * tail).terms)
+                    al.mul_into(acc, pref * pi, tail)
         if b:
             pref = al.monomial(a, b - 1, coeff=coeff * sc.qnum_std(b))
-            for acc, pi in zip(nums, pi_minus):
+            for acc, pi in zip(accs, pi_minus):
                 if pi:
-                    al._add_into(acc, (pref * pi * tail).terms)
+                    al.mul_into(acc, pref * pi, tail)
         # spatial Jackson terms, twisted by delta (Pi+ q^(2a) + Pi- q^(2b))
         spatial = _spatial_gradient_mono(key, coeff)
         if any(spatial):
-            for acc, row in zip(nums, _pi_weighted(a, b)):
+            for acc, row in zip(accs, _pi_weighted(a, b)):
                 for w, x in zip(row, spatial):
                     if w and x:
-                        al._add_into(acc, (w * x).terms)
-    return Gradient(tuple(Localized(Element(acc, _copy=False), 1)
-                          for acc in nums))
+                        al.mul_into(acc, w, x)
+    return Gradient(tuple(Localized(Element(acc.result(), _copy=False), 1)
+                          for acc in accs))
 
 
 def delta_correction(f):

@@ -173,15 +173,27 @@ class Matrix:
 
 
 def _dot(row, col, zero):
-    """Sum of the nonzero products row[t] col[t], begun from the first one
-    (a sum begun from a zero Scalar takes the general path whenever the
-    denominators differ); zero when there is none."""
-    acc = None
-    for a, b in zip(row, col):
-        if a.is_zero() or b.is_zero():
-            continue
-        acc = a * b if acc is None else acc + a * b
-    return zero if acc is None else acc
+    """Sum of the nonzero products row[t] col[t]; zero when there is none.
+
+    A sum of two or more products is reduced once: over Localized, the
+    numerators are summed over the largest delta power of the products and
+    divided by delta once."""
+    pairs = [(a, b) for a, b in zip(row, col)
+             if not a.is_zero() and not b.is_zero()]
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else zero
+    acc = sc.SumOfProducts()
+    if zero is ZERO:
+        for a, b in pairs:
+            acc.add(0, a, b)
+        return acc.result().get(0, ZERO)
+    pairs = [(_as_localized(a), _as_localized(b)) for a, b in pairs]
+    n = max(a.dpow + b.dpow for a, b in pairs)
+    for a, b in pairs:
+        k = n - a.dpow - b.dpow
+        al.mul_into(acc, a.num * al.delta_element() ** k if k else a.num,
+                    b.num)
+    return Localized(Element(acc.result(), _copy=False), n)
 
 
 def _as_localized(x):

@@ -30,6 +30,12 @@ A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
 out only the integer content: s and i are units, so the product shares no
 factor with an already reduced denominator that the other did not.
+
+A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
+reduces once instead of once per product and per partial sum: numerators
+are multiplied into one group per product denominator, and each group is
+reduced when the sum is built.  A group whose numerator passes
+`_GROUP_MAX_TERMS` terms is reduced at once and started again empty.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ __all__ = [
     "Scalar", "PoleError", "NotRationalError",
     "ZERO", "ONE", "I", "R", "M", "K",
     "integer", "rational", "q_power", "s_power", "qnum_sym", "qnum_std",
-    "qfactorial_std", "lambda_", "two_q", "subst_classical",
+    "qfactorial_std", "lambda_", "two_q", "subst_classical", "SumOfProducts",
 ]
 
 _NKEY0 = (0, 0, 0, 0, 0)
@@ -351,6 +357,100 @@ class Scalar:
     def __repr__(self):
         from .surface import scalar_to_str
         return scalar_to_str(self)
+
+
+# -- deferred sums of products ------------------------------------------------
+
+# A group whose numerator passes this many terms is reduced at once, and
+# the group starts again empty.  Under one denominator a group gains terms
+# only as the exponents of its products spread, so the engine's groups stay
+# far smaller: at most 22 terms over both gradients of the criterion-4 and
+# benchmark inputs, the benchmark's wave and matrix batches and
+# `verify all --max-degree 4`.  A bound more than ten times that never
+# costs on those inputs, and it keeps an adversarial sum from deferring all
+# of its work to one reduction of an unbounded numerator.
+_GROUP_MAX_TERMS = 256
+
+
+class SumOfProducts:
+    """Sums of products a * b of Scalars, one sum per key, reduced once.
+
+    `add(key, a, b)` multiplies the numerators of a and b into the group of
+    the key with the product's denominator, without reducing anything.  The
+    product denominator is formed once per pair of denominators and passes
+    its factors on, so that the cyclotomic splits stay cached.  `result()`
+    reduces each group once and sums the groups of each key.  A key that
+    receives a single product costs no denominator work: `result()` forms
+    it with `Scalar.__mul__`, whose unit fast path needs no reduction.
+    """
+
+    __slots__ = ("_lone", "_groups", "_pairs", "_dens", "_sums")
+
+    def __init__(self):
+        self._lone = {}       # key -> (a, b) while its only product, else None
+        self._groups = {}     # (key, den index) -> [num, den, factors]
+        self._pairs = {}      # items of (den a, den b) -> _pair(den a, den b)
+        self._dens = {}       # product den as a frozenset -> den index
+        self._sums = {}       # key -> sum of the groups reduced so far
+
+    def add(self, key, a, b):
+        """Add a * b to the sum of key."""
+        if not a.num or not b.num:
+            return
+        if key not in self._lone:
+            self._lone[key] = (a, b)
+            return
+        lone = self._lone[key]
+        if lone:
+            self._lone[key] = None
+            self._group_add(key, *lone)
+        self._group_add(key, a, b)
+
+    def _group_add(self, key, a, b):
+        da, db = a.den, b.den
+        pkey = (tuple(da.items()), tuple(db.items()))
+        pair = self._pairs.get(pkey)
+        if pair is None:
+            pair = self._pairs[pkey] = self._pair(da, db)
+        gkey = (key, pair[0])
+        group = self._groups.get(gkey)
+        if group is None:
+            group = self._groups[gkey] = [{}, pair[1], pair[2]]
+        num = group[0]
+        for k1, c1 in a.num.items():
+            for k2, c2 in b.num.items():
+                _nmul_into(num, k1, c1, k2, c2)
+        if len(num) > _GROUP_MAX_TERMS:
+            self._reduce(key, Scalar(num, group[1], _factors=group[2]))
+            group[0] = {}
+
+    def _pair(self, da, db):
+        """(index, den, factors) of the product denominator da db."""
+        if da == _DEN_ONE:
+            den, factors = db, ()
+        elif db == _DEN_ONE:
+            den, factors = da, ()
+        else:
+            den, factors = _dmul(da, db), _product_factors(da, db)
+        index = self._dens.setdefault(frozenset(den.items()), len(self._dens))
+        return index, den, factors
+
+    def _reduce(self, key, x):
+        prev = self._sums.get(key)
+        self._sums[key] = x if prev is None else prev + x
+
+    def result(self):
+        """{key: sum} for the keys whose sum is not zero.  The reduced sums
+        own the numerators, so the accumulator is emptied."""
+        for key, lone in self._lone.items():
+            if lone:
+                self._sums[key] = lone[0] * lone[1]
+        for (key, _), (num, den, factors) in self._groups.items():
+            if num:
+                self._reduce(key, Scalar(num, den, _factors=factors))
+        out = {key: x for key, x in self._sums.items() if x.num}
+        self._lone, self._groups, self._sums = {}, {}, {}
+        return out
 
 
 # -- normalization ----------------------------------------------------------

@@ -253,6 +253,22 @@ def test_internal_vs_pbw_multiplication():
         assert all(lhs[k] == rhs[k] for k in lhs)
 
 
+def test_mul_into_sums_the_products():
+    # coefficients over several denominators, so the sum has several groups
+    rng = random.Random(13)
+    coeffs = [sc.ONE, sc.lambda_() / sc.two_q(), sc.qnum_std(3).inverse(),
+              sc.I * sc.R / sc.lambda_()]
+    for _ in range(6):
+        acc, want = sc.SumOfProducts(), al.zero()
+        for _ in range(3):
+            f = rand_algebra_element(rng, 3, 2).scale(rng.choice(coeffs))
+            g = rand_algebra_element(rng, 3, 2).scale(rng.choice(coeffs))
+            al.mul_into(acc, f, g)
+            want = want + f * g
+        got = al.Element(acc.result(), _copy=False)
+        assert got == want and got.terms.keys() == want.terms.keys()
+
+
 def classical_pbw(el):
     out = {}
     for key, v in al.to_pbw_x(el).items():

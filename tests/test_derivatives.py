@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -241,6 +242,65 @@ def test_closed_equals_oracle_random():
     for _ in range(30):
         el = _random_algebra_element(rng)
         assert grad_eq(dv.grad_closed(el), dv.grad_oracle(el))
+
+
+# Both gradients sum their terms through scalars.SumOfProducts, so criterion
+# 4 compares two paths that share it.  These references sum with Element
+# `*`, `+` and `.scale` only, where every product and partial sum is reduced.
+
+@lru_cache(maxsize=None)
+def _ref_oracle_word(word):
+    if not word:
+        return (al.zero(),) * 4, al.one()
+    gen, rest = word[0], word[1:]
+    comps_rest, el_rest = _ref_oracle_word(rest)
+    L = dv._l_entries(gen)
+    comps = []
+    for mu in range(4):
+        acc = el_rest if GENS[mu] == gen else al.zero()
+        for nu in range(4):
+            acc = acc + (L[mu][nu] * comps_rest[nu]).scale(sc.q_power(1))
+        comps.append(acc)
+    return tuple(comps), al.gen_element(gen) * el_rest
+
+
+def _ref_grad_closed(f):
+    nums = [al.zero()] * 4
+    for (a, b, c, d, e), coeff in f.terms.items():
+        tail = al.monomial(0, 0, c, d, e)
+        if a:
+            pref = al.monomial(a - 1, b, coeff=coeff * sc.qnum_std(a))
+            nums = [n + pref * pi * tail
+                    for n, pi in zip(nums, dv._pi_nabla(+1))]
+        if b:
+            pref = al.monomial(a, b - 1, coeff=coeff * sc.qnum_std(b))
+            nums = [n + pref * pi * tail
+                    for n, pi in zip(nums, dv._pi_nabla(-1))]
+        spatial = dv._spatial_gradient_mono((a, b, c, d, e), coeff)
+        for mu, row in enumerate(dv._pi_weighted(a, b)):
+            for w, x in zip(row, spatial):
+                nums[mu] = nums[mu] + w * x
+    return dv.Gradient(tuple(al.Localized(n, 1) for n in nums))
+
+
+def test_oracle_words_equal_the_reference_recursion():
+    words = [()]
+    for n in range(1, 5):
+        words += itertools.combinations_with_replacement(GENS, n)
+    assert len(words) == 70          # every PBW word of length <= 4
+    for word in words:
+        comps, el = dv._oracle_word(word)
+        ref_comps, ref_el = _ref_oracle_word(word)
+        assert el == ref_el
+        assert all(x == y for x, y in zip(comps, ref_comps)), word
+
+
+def test_closed_gradient_equals_the_per_product_reference():
+    monos = [al.monomial(a, b, c, d, e)
+             for a, b, c, d, e in itertools.product(range(5), repeat=5)
+             if a + b + c + d + e <= 4 and not (c and e)]
+    for el in monos + _basis_monomials(4):
+        assert grad_eq(dv.grad_closed(el), _ref_grad_closed(el)), el
 
 
 def _delta_kept(grad):

@@ -384,3 +384,78 @@ def test_scalar_power_makes_no_wasted_product(monkeypatch, n):
     assert got == want
     expected = (n.bit_length() - 1) + (bin(n).count("1") - 1) if n else 0
     assert len(calls) == expected
+
+
+# -- the deferred sum of products ---------------------------------------------
+#
+# Both gradients and the matrix products sum through SumOfProducts, so it is
+# checked here against the point-evaluation mirror, which shares no code
+# with it, and against the naive sum of normalized products.
+
+_S_DENS = [sc.ONE, sc.integer(6), _TWO, _LAM, _TWO * _LAM, sc.qnum_std(3),
+           sc.qfactorial_std(4), _TWO ** 2 * sc.qnum_std(2)]
+_MK_DENS = [sc.M * sc.integer(6) + sc.K, sc.K + _Q * sc.integer(2)]
+
+
+def _contributions(dens):
+    atom = st.builds(
+        lambda n, d, es, em, ek, ei, er, den: sc.rational(n, d)
+        * sc.s_power(es) * sc.M ** em * sc.K ** ek * sc.I ** ei * sc.R ** er
+        / den,
+        st.integers(-6, 6), st.integers(1, 4), st.integers(-4, 4),
+        st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+        st.integers(0, 1), st.sampled_from(dens))
+    value = st.lists(atom, min_size=1, max_size=3).map(
+        lambda xs: sum(xs[1:], xs[0]))
+    return st.lists(st.tuples(st.integers(0, 2), value, value),
+                    min_size=1, max_size=12)
+
+
+def _check_sum_of_products(contribs, s_only):
+    """Checks the built sums; returns whether a group passed the bound."""
+    acc = sc.SumOfProducts()
+    mirror, naive = {}, {}
+    for key, a, b in contribs:
+        acc.add(key, a, b)
+        prod = _quad_mul(_eval_scalar(a), _eval_scalar(b))
+        mirror[key] = tuple(u + v for u, v in
+                            zip(mirror.get(key, (Fraction(0),) * 4), prod))
+        naive[key] = naive[key] + a * b if key in naive else a * b
+    spilled = bool(acc._sums)
+    got = acc.result()
+    assert set(got) <= set(mirror)
+    for key, want in mirror.items():
+        if key not in got:
+            assert not any(want) and naive[key].is_zero()
+            continue
+        assert _eval_scalar(got[key]) == want
+        if s_only:
+            assert (got[key].num, got[key].den) == \
+                (naive[key].num, naive[key].den)
+    return spilled
+
+
+@given(_contributions(_S_DENS))
+@settings(max_examples=40, deadline=None)
+def test_sum_of_products_matches_mirror_and_naive_sum(contribs):
+    _check_sum_of_products(contribs, s_only=True)
+
+
+@given(_contributions(_S_DENS + _MK_DENS))
+@settings(max_examples=25, deadline=None)
+def test_sum_of_products_matches_mirror_with_mk_denominators(contribs):
+    _check_sum_of_products(contribs, s_only=False)
+
+
+def test_sum_of_products_reduces_a_group_past_the_bound():
+    # every product has the denominator lambda [2] and adds 8 new numerator
+    # terms, so the group of key 0 passes the bound; the last contribution
+    # cancels the first, which was reduced with the group before it
+    def chunk(j):
+        return sum((sc.s_power(8 * j + t) * sc.integer(t + 1)
+                    * sc.I ** (t % 2) for t in range(8)), sc.ZERO) / _LAM
+
+    n = sc._GROUP_MAX_TERMS // 8 + 2
+    contribs = [(0, chunk(j), _TWO.inverse()) for j in range(n)]
+    contribs += [(1, chunk(0), _Q), (0, -chunk(0), _TWO.inverse())]
+    assert _check_sum_of_products(contribs, s_only=True)
