@@ -32,13 +32,12 @@ from functools import lru_cache
 from math import comb
 
 from . import scalars as sc
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ONE
 
 __all__ = [
     "Element", "Localized", "NotInAlgebraError", "DeltaDivisionError",
     "zero", "one", "monomial", "gen_element", "from_surface_word",
-    "from_surface",
-    "delta_element", "x0_element", "xsq_element",
+    "add_all", "delta_element", "x0_element", "xsq_element",
     "scale_kappa", "div_central", "to_pbw_x", "pbw_to_element", "pbw_mul",
     "mul_into", "SURFACE_GENS",
 ]
@@ -101,7 +100,8 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         acc = dict(self.terms)
-        _add_into(acc, other.terms)
+        for key, c in other.terms.items():
+            _acc(acc, key, c)
         return Element(acc, _copy=False)
 
     def __sub__(self, other):
@@ -145,42 +145,9 @@ class Element:
         return Element({key: v * c for key, v in self.terms.items()},
                        _copy=False)
 
-    def degree(self):
-        """Total degree, counting xi+- with degree 1."""
-        if not self.terms:
-            return 0
-        return max(sum(key) for key in self.terms)
-
-    def homogeneous_slice(self, d):
-        return Element({key: c for key, c in self.terms.items()
-                        if sum(key) == d}, _copy=False)
-
-    def subst_classical_terms(self):
-        """Map to a commutative exponent dict at q = 1 (coeffs Fractions)."""
-        out = {}
-        for key, c in self.terms.items():
-            val = c.subst_classical().as_fraction()
-            if val:
-                out[key] = out.get(key, 0) + val
-                if not out[key]:
-                    del out[key]
-        return out
-
     def __repr__(self):
         from .surface import element_to_str
         return element_to_str(self)
-
-
-def _add_into(acc, terms):
-    for key, c in terms.items():
-        if key in acc:
-            v = acc[key] + c
-            if v.is_zero():
-                del acc[key]
-            else:
-                acc[key] = v
-        else:
-            acc[key] = c
 
 
 def zero():
@@ -260,6 +227,7 @@ def _append_xm(terms):
 
 
 def _acc(out, key, val):
+    """Add val to out[key], keeping no zero coefficient in out."""
     if key in out:
         v = out[key] + val
         if v.is_zero():
@@ -268,6 +236,15 @@ def _acc(out, key, val):
             out[key] = v
     elif not val.is_zero():
         out[key] = val
+
+
+def add_all(elements):
+    """The sum of any number of Elements, accumulated into one term dict."""
+    acc = {}
+    for el in elements:
+        for key, c in el.terms.items():
+            _acc(acc, key, c)
+    return Element(acc, _copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -369,14 +346,6 @@ def from_surface_word(word):
     return el
 
 
-def from_surface(expr):
-    """Element from surface input: a generator word tuple or expression text."""
-    if isinstance(expr, str):
-        from .surface import parse_element
-        return parse_element(expr)
-    return from_surface_word(expr)
-
-
 def scale_kappa(f):
     """Action of the group-like scaling operator: degree-n part times q^n."""
     return Element({key: c * sc.q_power(sum(key))
@@ -420,12 +389,7 @@ def div_central(f, g):
             qc = work[lead] * ginv
             quot[(qa, qb) + tail] = qc
             for (ga, gb), gv in gterms.items():
-                key = (qa + ga, qb + gb)
-                v = work.get(key, ZERO) - qc * gv
-                if v.is_zero():
-                    work.pop(key, None)
-                else:
-                    work[key] = v
+                _acc(work, (qa + ga, qb + gb), -(qc * gv))
     if rem:
         raise DeltaDivisionError("central division is inexact",
                                  remainder=Element(rem))
@@ -753,8 +717,7 @@ def to_pbw_x(f):
 
 def pbw_to_element(pbw):
     """Inverse of to_pbw_x on its image."""
-    el = zero()
-    for (n0, nm, np_, n3), coeff in pbw.items():
-        word = ("x0",) * n0 + ("xm",) * nm + ("xp",) * np_ + ("x3",) * n3
-        el = el + from_surface_word(word).scale(coeff)
-    return el
+    return add_all(
+        from_surface_word(("x0",) * n0 + ("xm",) * nm + ("xp",) * np_
+                          + ("x3",) * n3).scale(coeff)
+        for (n0, nm, np_, n3), coeff in pbw.items())

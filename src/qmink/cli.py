@@ -315,11 +315,11 @@ def _random_basis_monomial(rng, max_degree):
 
 
 def _random_element(rng, max_degree, nterms=3):
-    acc = al.zero()
+    terms = []
     for _ in range(nterms):
         coeff = sc.integer(rng.randint(-4, 4)) * sc.q_power(rng.randint(-2, 2))
-        acc = acc + _random_basis_monomial(rng, max_degree).scale(coeff)
-    return acc
+        terms.append(_random_basis_monomial(rng, max_degree).scale(coeff))
+    return al.add_all(terms)
 
 
 def _report(results, as_json):

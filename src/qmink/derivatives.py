@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from . import scalars as sc
 
@@ -136,30 +137,15 @@ class OrderedPoly:
             slot = self.variables.index(var)
         except ValueError:
             raise KeyError(f"{var!r} is not a variable of this ordering")
-        out = {}
-        for exps, coeff in self.terms.items():
-            n = exps[slot]
-            if n == 0:
-                continue
-            key = exps[:slot] + (n - 1,) + exps[slot + 1:]
-            c = coeff * sc.qnum_std(n)
-            if key in out:
-                c = out[key] + c
-            if not c.is_zero():
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return OrderedPoly(self.variables, out)
+        return OrderedPoly(self.variables, _jackson_terms(self.terms, slot))
 
     def to_element(self):
         """Multiply out in the declared order (normal ordering applies)."""
-        acc = al.zero()
-        for exps, coeff in self.terms.items():
-            word = al.one()
-            for var, n in zip(self.variables, exps):
-                word = word * al.gen_element(var) ** n
-            acc = acc + word.scale(coeff)
-        return acc
+        return al.add_all(
+            prod((al.gen_element(var) ** n
+                  for var, n in zip(self.variables, exps)),
+                 start=al.one()).scale(coeff)
+            for exps, coeff in self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, OrderedPoly):
@@ -178,21 +164,18 @@ def jackson(f, var):
 
 def jackson_element(f, var):
     """Jackson derivative on the internal basis (order is structural)."""
-    slot = _VAR_SLOT[var]
+    return Element(_jackson_terms(f.terms, _VAR_SLOT[var]), _copy=False)
+
+
+def _jackson_terms(terms, slot):
+    """The Jackson derivative in the exponent at `slot` of a term dict."""
     out = {}
-    for key, coeff in f.terms.items():
-        n = key[slot]
-        if n == 0:
-            continue
-        new = key[:slot] + (n - 1,) + key[slot + 1:]
-        c = coeff * sc.qnum_std(n)
-        if new in out:
-            c = out[new] + c
-        if not c.is_zero():
-            out[new] = c
-        elif new in out:
-            del out[new]
-    return Element(out, _copy=False)
+    for exps, coeff in terms.items():
+        n = exps[slot]
+        if n:
+            al._acc(out, exps[:slot] + (n - 1,) + exps[slot + 1:],
+                    coeff * sc.qnum_std(n))
+    return out
 
 
 def subst_xi_scale(f, plus=0, minus=0):
@@ -280,15 +263,12 @@ def _spatial_gradient_mono(key, coeff):
     a, b, c, d, e = key
     comps = [al.zero()] * 4
     if c:
-        el = al.monomial(a, b, c - 1, d, e, coeff=coeff * sc.qnum_std(c))
-        comps[2] = comps[2] + el
+        comps[2] = al.monomial(a, b, c - 1, d, e, coeff=coeff * sc.qnum_std(c))
     if d:
         el = al.monomial(a, b, c, d - 1, e, coeff=coeff * sc.qnum_std(d))
-        comps[3] = comps[3] + el      # nabla x30 = e_3 - e_0
-        comps[0] = comps[0] - el
+        comps[3], comps[0] = el, -el      # nabla x30 = e_3 - e_0
     if e:
-        el = al.monomial(a, b, c, d, e - 1, coeff=coeff * sc.qnum_std(e))
-        comps[1] = comps[1] + el
+        comps[1] = al.monomial(a, b, c, d, e - 1, coeff=coeff * sc.qnum_std(e))
     return comps
 
 
@@ -362,15 +342,7 @@ def _metric_mix(grad, eta):
 def contract_d_alembert(f, grad_fn=grad_closed):
     """The wave operator d_mu d^mu acting on f, via two gradients and the
     metric contraction sum_{mu nu} eta_{mu nu} d^nu (d^mu f)."""
-    first = grad_fn(f)
-    eta = mx.eta_lower()
-    acc = al.zero()
-    firsts = first.cleared()
-    for (mu, nu), coeff in eta.items():
-        gmu = firsts[mu]
-        if gmu.is_zero():
-            continue
-        second = grad_fn(gmu).cleared()
-        if not second[nu].is_zero():
-            acc = acc + second[nu].scale(coeff)
-    return acc
+    firsts = grad_fn(f).cleared()
+    return al.add_all(grad_fn(firsts[mu]).cleared()[nu].scale(coeff)
+                      for (mu, nu), coeff in mx.eta_lower().items()
+                      if firsts[mu])

@@ -156,13 +156,13 @@ def xx_rel2_residuals():
     out = []
     for sig in range(4):
         for tau_ in range(4):
-            acc = coords[sig] * coords[tau_]
+            terms = [coords[sig] * coords[tau_]]
             for mu in range(4):
                 for nu in range(4):
                     coeff = RI[mu * 4 + nu][tau_ * 4 + sig]
                     if not coeff.is_zero():
-                        acc = acc - (coords[mu] * coords[nu]).scale(coeff)
-            out.append(((sig, tau_), acc))
+                        terms.append((coords[mu] * coords[nu]).scale(-coeff))
+            out.append(((sig, tau_), al.add_all(terms)))
     return out
 
 
@@ -178,18 +178,11 @@ def l_matrix_from_rmatrix(nu):
     which this reconstruction verifies)."""
     _, RII = rmatrices_fourvector()
     coords = [al.gen_element(g) for g in ("x0", "xm", "xp", "x3")]
-    rows = []
-    for mu in range(4):
-        row = []
-        for mup in range(4):
-            acc = al.zero()
-            for nup in range(4):
-                coeff = RII[mu * 4 + nup][mup * 4 + nu]
-                if not coeff.is_zero():
-                    acc = acc + coords[nup].scale(coeff)
-            row.append(acc)
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix([
+        [al.add_all(coords[nup].scale(RII[mu * 4 + nup][mup * 4 + nu])
+                    for nup in range(4))
+         for mup in range(4)]
+        for mu in range(4)])
 
 
 # -- boost-rotation factorization -----------------------------------------------
@@ -244,14 +237,11 @@ def l_matrix_from_structure(alpha):
             row = []
             for k in range(2):
                 for l in range(2):
-                    acc = al.zero()
-                    for g1, c1 in components(gen).items():
-                        for g2, c2 in _lplus_action(i, k, g1).items():
-                            bmat = mx.b_matrix(g2)
-                            entry = bmat.entries[j][l]
-                            if not entry.is_zero():
-                                acc = acc + entry.try_clear().scale(c1 * c2)
-                    row.append(acc)
+                    row.append(al.add_all(
+                        mx.b_matrix(g2).entries[j][l].try_clear()
+                        .scale(c1 * c2)
+                        for g1, c1 in components(gen).items()
+                        for g2, c2 in _lplus_action(i, k, g1).items()))
             rows.append(row)
     return Matrix(rows)
 

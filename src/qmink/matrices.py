@@ -22,6 +22,8 @@ calculus (characteristic identity, eigen relations, recursion).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import scalars as sc
 from .scalars import Scalar, ONE, ZERO
@@ -436,13 +438,10 @@ def f_of_l0(coeffs):
 
 
 def _eval_poly(coeffs, x):
-    acc = al.zero()
-    power = al.one()
-    for c in coeffs:
-        if not c.is_zero():
-            acc = acc + power.scale(c)
-        power = power * x
-    return acc
+    """sum_n coeffs[n] x^n, with one product per power above x^0."""
+    powers = accumulate(repeat(x, len(coeffs) - 1), mul,
+                        initial=al.one())
+    return al.add_all(p.scale(c) for p, c in zip(powers, coeffs))
 
 
 # -- closed-form powers --------------------------------------------------------

@@ -315,6 +315,8 @@ def _eval(node):
                 raise ParseError(
                     "generator exponents must be non-negative integers")
             return base ** int(exp)
+        if exp < 0 and base.is_zero():
+            raise ParseError("division by zero")
         if exp.denominator == 1:
             return base ** int(exp)
         if exp.denominator == 2:
@@ -455,13 +457,11 @@ def element_to_json(el):
 
 
 def element_from_json(text):
-    data = json.loads(text)
-    acc = al.zero()
-    for item in data["terms"]:
+    def term(item):
         a, b, c, d, e = item["exponents"]
-        coeff = parse_scalar(item["coefficient"])
-        acc = acc + al.monomial(a, b, c, d, e, coeff=coeff)
-    return acc
+        return al.monomial(a, b, c, d, e,
+                           coeff=parse_scalar(item["coefficient"]))
+    return al.add_all(term(item) for item in json.loads(text)["terms"])
 
 
 def gradient_to_json(components):

@@ -47,16 +47,10 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         n = min(self.truncation, other.truncation)
-        out = []
-        for d in range(n + 1):
-            acc = al.zero()
-            for a in range(d + 1):
-                sa, sb = self.slice(a), other.slice(d - a)
-                if sa.is_zero() or sb.is_zero():
-                    continue
-                acc = acc + sa * sb
-            out.append(acc)
-        return TruncatedSeries(tuple(out), n)
+        return TruncatedSeries(
+            tuple(al.add_all(self.slice(a) * other.slice(d - a)
+                             for a in range(d + 1))
+                  for d in range(n + 1)), n)
 
     def scale(self, c):
         return TruncatedSeries(tuple(s.scale(c) for s in self.slices),
@@ -193,13 +187,7 @@ def central_alpha_expansion(el):
         base = coeff * half ** (a + b)
         for u in range(a + 1):
             for v in range(b + 1):
-                key = (u + v, (a - u) + (b - v))
                 sign = (-1) ** (b - v)
-                val = base * sc.integer(comb(a, u) * comb(b, v) * sign)
-                cur = out.get(key)
-                val = val if cur is None else cur + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                al._acc(out, (u + v, (a - u) + (b - v)),
+                        base * sc.integer(comb(a, u) * comb(b, v) * sign))
     return out

@@ -398,3 +398,32 @@ def test_power_makes_no_wasted_product(monkeypatch, n):
     assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
     assert got == want
     assert x ** 0 == al.one()
+
+
+def _random_terms(rng):
+    """An Element with up to four random basis terms, built from its dict."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randint(0, 2)
+        e = 0 if c else rng.randint(0, 2)
+        key = (rng.randint(0, 2), rng.randint(0, 1), c, rng.randint(0, 2), e)
+        terms[key] = sc.integer(rng.randint(-3, 3)) * \
+            sc.q_power(rng.randint(-2, 2))
+    return al.Element(terms)
+
+
+def test_add_all_is_the_left_fold_of_plus():
+    assert al.add_all([]) == al.zero()
+    rng = random.Random(808)
+    for _ in range(60):
+        els = [_random_terms(rng) for _ in range(rng.randint(1, 5))]
+        els += [-x for x in els if rng.random() < 0.5]   # pairs that cancel
+        rng.shuffle(els)
+        want = al.zero()
+        for x in els:
+            want = want + x
+        got = al.add_all(iter(els))
+        assert got == want
+        assert not any(c.is_zero() for c in got.terms.values())
+    x = _random_terms(random.Random(5)) + x0 * xm
+    assert al.add_all([x, -x]).terms == {}

@@ -50,6 +50,10 @@ def test_derive_json(capsys):
 def test_parse_error_exit_code(capsys):
     assert cli.main(["normalize", "x0^-1"]) == 2
     assert cli.main(["derive", "(x0"]) == 2
+    assert cli.main(["normalize", "0^-1"]) == 2
+    assert cli.main(["normalize", "(q-q)^-1"]) == 2
+    assert cli.main(["solve", "massive", "--param", "0^-1"]) == 2
+    assert "division by zero" in capsys.readouterr().err
 
 
 def test_truncated_input_exit_code(capsys):

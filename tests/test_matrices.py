@@ -228,3 +228,25 @@ def test_chebyshev_s():
         rhs = mx.b_center().scale(sc.integer(2)) * mx.chebyshev_s(n) - \
             mx.c_center() * mx.chebyshev_s(n - 1)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eval_poly_makes_no_wasted_product(monkeypatch, n):
+    calls = []
+    mul = al._mul
+
+    def counting_mul(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    x = mx.tau(1)
+    coeffs = [sc.integer(k - 2) * sc.q_power(k) for k in range(n)]
+    want, power = al.zero(), al.one()
+    for c in coeffs:
+        want = want + power.scale(c)
+        power = power * x
+    monkeypatch.setattr(al, "_mul", counting_mul)
+    got = mx._eval_poly(coeffs, x)
+    assert len(calls) <= n - 1
+    assert got == want
+    assert mx._eval_poly([], x) == al.zero()
