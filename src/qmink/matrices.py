@@ -243,11 +243,6 @@ def _block_upper(a, b, d):
 
 # -- boost matrices (verbatim, converted to the internal basis) ---------------
 
-def _elem(text):
-    from .surface import parse_element
-    return parse_element(text)
-
-
 @lru_cache(maxsize=None)
 def b_matrix(alpha):
     """2x2 boost-action matrix B_{x_alpha}, alpha in x0, xm, xp, x30, x3."""

@@ -7,6 +7,23 @@ written by the canonical printer, and a few Unicode aliases), operators
 precedence ^ > * > +/-.  Division appears only inside scalar
 subexpressions; generator exponents must be non-negative integers.
 Fractional exponents (halves) are allowed on q only.
+
+`parse_element`, `parse_scalar` and `element_from_json` first try a reader
+of the printer's own grammar, and nothing else:
+
+    element  = "0" | term (" + " term)*
+    term     = coeff (" * " factor)*   factors in the order xi+ xi- x+ x30 x-,
+                                       each at most once, as name or name^n
+    coeff    = "(" poly ")" | "((" poly ")/(" poly "))"
+    poly     = ["-"] mono ((" + " | " - ") mono)*
+    mono     = c*q^e*i*r*m^a*k^b      parts in this order, each optional,
+                                      e an integer, -n or (n/2)
+
+It builds each coefficient's num and den dicts directly and normalizes them
+once.  Text outside this grammar, or with an i or r in a denominator, a zero
+denominator, both x+ and x- in a term or a generator power above
+MAX_INPUT_DEGREE, goes to the general parser unchanged, which stays the
+authority: both give the same value or error on any text.
 """
 
 from __future__ import annotations
@@ -361,7 +378,92 @@ def _promote_mul(a, b):
     return a * b
 
 
+# -- canonical reader -----------------------------------------------------------
+#
+# The grammar and the fallback rule are in the module docstring.  No tokens,
+# AST or Scalar arithmetic: each coefficient is normalized once, by
+# Scalar(num, den).  None means the text is off the grammar.  The patterns
+# are compiled on first use (re caches them), not when qmink is imported.
+
+_POLY = r"[^()]*(?:\(-?[0-9]+/2\)[^()]*)*"    # (n/2) is its only parenthesis
+_COEFF = rf"\(\(({_POLY})\)/\(({_POLY})\)\)|\(({_POLY})\)"
+_TERM = rf"(?:{_COEFF})" + "".join(
+    rf"( \* {re.escape(name)}(?:\^([0-9]+))?)?" for name in
+    ("xi+", "xi-", "x+", "x30", "x-")) + r"(?: \+ (?=\()|\Z)"
+_MONO = (r"(?:\*([0-9]+))?(?:\*(q)(?:\^(?:(-?[0-9]+)|\((-?[0-9]+)/2\)))?)?"
+         r"(\*i)?(\*r)?(?:\*(m)(?:\^([0-9]+))?)?(?:\*(k)(?:\^([0-9]+))?)?")
+
+
+def _read_poly(text, real=False):
+    """The {key: coeff} dict of a printed polynomial; real keys (e_s, e_m,
+    e_k) when `real`, for denominators.  None off the grammar."""
+    sign = 1
+    if text.startswith("-"):
+        sign, text = -1, text[1:]
+    parts = re.split(r" ([-+]) ", text)
+    mono_re = re.compile(_MONO)
+    out = {}
+    for j in range(0, len(parts), 2):
+        if j:
+            sign = 1 if parts[j - 1] == "+" else -1
+        mobj = mono_re.fullmatch("*" + parts[j])
+        if mobj is None:
+            return None
+        c, q, qe, qh, ei, er, m, me, k, ke = mobj.groups()
+        es = (int(qh) if qh else 2 * int(qe or 1)) if q else 0
+        em = int(me or 1) if m else 0
+        ek = int(ke or 1) if k else 0
+        if real:
+            if ei or er:
+                return None
+            key = (es, em, ek)
+        else:
+            key = (es, em, ek, 1 if ei else 0, 1 if er else 0)
+        out[key] = out.get(key, 0) + sign * int(c or 1)
+    return {key: v for key, v in out.items() if v}
+
+
+def _coeff(frac_num, frac_den, poly):
+    """The Scalar of a printed coefficient's groups, or None."""
+    num = _read_poly(poly if frac_num is None else frac_num)
+    den = {(0, 0, 0): 1} if frac_num is None else _read_poly(frac_den, True)
+    if num is None or not den:
+        return None
+    return Scalar(num, den)
+
+
+def _read_scalar(text):
+    mobj = re.fullmatch(_COEFF, text)
+    return None if mobj is None else _coeff(*mobj.groups())
+
+
+def _read_element(text):
+    if text == "0":
+        return al.zero()
+    term_re = re.compile(_TERM)
+    terms = {}
+    pos = 0
+    while True:
+        mobj = term_re.match(text, pos)
+        if mobj is None:
+            return None
+        groups = mobj.groups()
+        key = tuple(int(exp or 1) if name else 0
+                    for name, exp in zip(groups[3::2], groups[4::2]))
+        coeff = _coeff(*groups[:3])
+        if (coeff is None or max(key) > MAX_INPUT_DEGREE
+                or (key[2] and key[4])):
+            return None
+        al._acc(terms, key, coeff)
+        pos = mobj.end()
+        if pos == len(text):
+            return Element(terms, _copy=False)
+
+
 def parse_element(text):
+    el = _read_element(text)
+    if el is not None:
+        return el
     v = _eval(parse(text))
     if isinstance(v, Scalar):
         return al.one().scale(v)
@@ -369,6 +471,9 @@ def parse_element(text):
 
 
 def parse_scalar(text):
+    v = _read_scalar(text)
+    if v is not None:
+        return v
     v = _eval(parse(text))
     if isinstance(v, Element):
         raise ParseError("expected a scalar expression")
@@ -457,11 +562,20 @@ def element_to_json(el):
 
 
 def element_from_json(text):
-    def term(item):
-        a, b, c, d, e = item["exponents"]
-        return al.monomial(a, b, c, d, e,
-                           coeff=parse_scalar(item["coefficient"]))
-    return al.add_all(term(item) for item in json.loads(text)["terms"])
+    """Read `element_to_json` output; a malformed payload is a ParseError."""
+    try:
+        items = [(tuple(item["exponents"]), item["coefficient"])
+                 for item in json.loads(text)["terms"]]
+    except (ValueError, TypeError, KeyError, RecursionError) as err:
+        raise ParseError(f"malformed element JSON: {err!r}") from None
+    terms = {}
+    for key, coeff in items:
+        if (len(key) != 5 or any(type(e) is not int or e < 0 for e in key)
+                or (key[2] and key[4]) or not isinstance(coeff, str)):
+            raise ParseError(f"malformed term: exponents {list(key)}, "
+                             f"coefficient {coeff!r}")
+        al._acc(terms, key, parse_scalar(coeff))
+    return Element(terms, _copy=False)
 
 
 def gradient_to_json(components):

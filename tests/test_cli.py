@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qmink
 from qmink import cli
@@ -97,6 +100,38 @@ def test_size_bound_exit_code(capsys):
                  ["verify", "calculus", "--max-degree", str(top + 1)]):
         assert cli.main(argv) == 2, argv
         assert str(top) in capsys.readouterr().err
+
+
+_GEN_TOKENS = ("x0", "xm", "xp", "x3", "x30", "xsq", "xip", "xim", "x+", "x-",
+               "xi+", "xi-")
+_OTHER_TOKENS = ("q", "i", "r", "m", "k", "+", "-", "*", "/", "(", ")",
+                 "0", "1", "2", "3")
+
+
+@st.composite
+def _token_texts(draw):
+    """At most 40 tokens, joined by spaces so that every number is one digit.
+    At most four generators and one ^ keep every draw fast: with two ^ a
+    draw such as ((x3+xm+xp)^3)^3 raises a sum to the 9th power, and with
+    more generators a cube of a product of sums takes seconds."""
+    tokens = draw(st.lists(st.sampled_from(_OTHER_TOKENS), max_size=35))
+    extra = draw(st.lists(st.sampled_from(_GEN_TOKENS), max_size=4))
+    extra += draw(st.lists(st.just("^"), max_size=1))
+    for token in extra:
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return " ".join(tokens)
+
+
+@given(_token_texts())
+@settings(max_examples=300, deadline=None)
+def test_normalize_fuzz_exits_0_or_2_without_traceback(text):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        # "--" keeps a text that starts with "-" from reading as an option
+        code = cli.main(["normalize", "--", text])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("kind, degree", [("massive", 10), ("massless", 12)])

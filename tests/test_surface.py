@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qmink import algebra as al
 from qmink import scalars as sc
 from qmink import surface as sf
+from qmink import waves as wv
 
 
 def test_parse_basic():
@@ -140,3 +142,143 @@ def test_zero_prints():
     assert sf.element_to_str(al.zero()) == "0"
     assert sf.parse_element("0").is_zero()
     assert sf.scalar_to_str(sc.ZERO) == "(0)"
+
+
+# -- canonical reader -------------------------------------------------------
+
+_DENOMINATORS = (sc.ONE, sc.lambda_(), sc.two_q(), sc.qnum_std(3),
+                 sc.qfactorial_std(4), sc.M + sc.q_power(1))
+
+
+@st.composite
+def _scalars(draw):
+    """Random Scalars over Q(s, m, k)[i, r] with cyclotomic and m-dependent
+    denominators."""
+    num = sc.ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        num = num + (sc.integer(draw(st.integers(-5, 5)))
+                     * sc.s_power(draw(st.integers(-5, 5)))
+                     * sc.M ** draw(st.integers(0, 2))
+                     * sc.K ** draw(st.integers(0, 2))
+                     * sc.I ** draw(st.integers(0, 1))
+                     * sc.R ** draw(st.integers(0, 1)))
+    den = sc.ONE
+    for _ in range(draw(st.integers(0, 2))):
+        den = den * draw(st.sampled_from(_DENOMINATORS))
+    return num / den
+
+
+@st.composite
+def _elements(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b, c, d, e = (draw(st.integers(0, 3)) for _ in range(5))
+        terms.append(al.monomial(a, b, c, d, 0 if c else e,
+                                 coeff=draw(_scalars())))
+    return al.add_all(terms)
+
+
+def _general(text):
+    """parse_element through the tokenizer, parser and _eval alone."""
+    v = sf._eval(sf.parse(text))
+    return al.one().scale(v) if isinstance(v, sc.Scalar) else v
+
+
+def _general_scalar(text):
+    v = sf._eval(sf.parse(text))
+    if isinstance(v, al.Element):
+        raise sf.ParseError("expected a scalar expression")
+    return v
+
+
+@given(_elements())
+@settings(max_examples=80, deadline=None)
+def test_printed_elements_read_back(el):
+    text = sf.element_to_str(el)
+    back = sf.parse_element(text)
+    assert back == el
+    assert sf.element_to_str(back) == text
+    assert sf.element_from_json(sf.element_to_json(el)) == el
+    assert sf._read_element(text) == _general(text)
+
+
+@given(_scalars())
+@settings(max_examples=80, deadline=None)
+def test_printed_scalars_read_back(x):
+    text = sf.scalar_to_str(x)
+    assert sf.parse_scalar(text) == x
+    assert sf._read_scalar(text) == _general_scalar(text)
+
+
+def test_printed_text_and_json_read_back_without_the_parser(monkeypatch):
+    rng = random.Random(79)
+    els = [_random_element(rng) for _ in range(30)]
+    state = wv.massive_rest_state(n_max=6)
+    els += [state.slice(d) for d in range(state.truncation + 1)]
+    texts = [(el, sf.element_to_str(el), sf.element_to_json(el))
+             for el in els]
+
+    def no_tokens(text):
+        raise AssertionError(f"printed text sent to the parser: {text!r}")
+    monkeypatch.setattr(sf, "_tokenize", no_tokens)
+    for el, text, blob in texts:
+        assert sf.parse_element(text) == el
+        assert sf.element_from_json(blob) == el
+        for c in el.terms.values():
+            assert sf.parse_scalar(sf.scalar_to_str(c)) == c
+
+
+@pytest.mark.parametrize("text", [
+    # generator powers past MAX_INPUT_DEGREE, and at it
+    "(1) * xi+^65", "(1) * x30^65", "(2) * x-^100000", "(q) * xi-^64",
+    # zero denominators
+    "((1)/(0))", "((0)/(0))", "((q)/(q - q))",
+    # factors out of order, repeated or both x+ and x-
+    "(1) * x- * x+", "(1) * x+ * xi+", "(1) * x30 * x+", "(1) * x+ * x+",
+    "(1) * x+ * x-", "(q) * xi+ * x+^2 * x-",
+    # repeated term keys, cancelling terms, repeated monomials
+    "(1) * x+ + (2) * x+", "(q) * x30 + (-q) * x30", "(1) + (q)",
+    "(q + q - 2*q)", "((1 + 1)/(2 + 2))",
+    # q exponents the printer never writes
+    "(q^(1))", "(q^(1/3))", "(q^(2/2))", "(q^(1/0))", "(q^(-3/2))",
+    "(q^-0)", "(m^(1/2))", "(i^2)", "(i*i)", "(r*r)", "(m^-1)",
+    # i or r inside a denominator
+    "((1)/(i))", "((1)/(r))", "((q)/(1 + i))", "((1)/(q*r + 1))",
+    # leading minus signs
+    "(-q)", "(-1 - q)", "((-q)/(-1 - q))", "(- q)", "(--q)", "(1 - -q)",
+    "-(q)", "(-q) * x+",
+    # trailing garbage, stray spaces and truncation
+    "(1) * x+ +", "(1) * x+ junk", "(1))", "(1) * x+ + ", "(q)\n",
+    "(1) x+", "(1) *x+", " (1)", "(1) + 0", "(1", "((1)/(2)", "", "0",
+    "(0)", "((1)/(2))/(3)", "(q) * x+^", "(9" + "9" * 5000 + ")",
+])
+def test_reader_keeps_the_parser_limits(text):
+    for read, general in ((sf.parse_element, _general),
+                          (sf.parse_scalar, _general_scalar)):
+        try:
+            want = general(text)
+        except ValueError as err:
+            with pytest.raises(type(err)) as got:
+                read(text)
+            assert str(got.value) == str(err)
+        else:
+            assert read(text) == want
+
+
+def _term(exponents, coefficient="(1)"):
+    return json.dumps({"terms": [{"exponents": exponents,
+                                  "coefficient": coefficient}]})
+
+
+@pytest.mark.parametrize("blob", [
+    _term([-1, 0, 0, 0, 0]),                 # negative exponent
+    _term([0, 0, 1, 0, 1]),                  # both x+ and x-
+    _term([0, 0, 1, 0]),                     # wrong exponent count
+    _term([0, 0, 1, 0, 0], 1),               # coefficient not a string
+    json.dumps({"term": []}),                # no "terms"
+    "{terms: []",                            # not JSON
+], ids=["negative", "xp-and-xm", "count", "coefficient", "no-terms",
+        "not-json"])
+def test_malformed_json_is_a_parse_error(blob):
+    with pytest.raises(sf.ParseError):
+        sf.element_from_json(blob)
