@@ -4,22 +4,17 @@ slices of the wave solutions, printed in canonical text."""
 
 from qmink import algebra as al
 from qmink import derivatives as dv
+from qmink import matrices as mx
 from qmink import surface as sf
 from qmink import waves as wv
-
-COMPONENTS = ("0", "-", "+", "3")
 
 
 def show_gradient(title, el):
     print(f"\n# {title}")
     print("  f =", sf.element_to_str(el))
     grad = dv.grad_closed(el)
-    for name, comp in zip(COMPONENTS, grad.components):
-        try:
-            text = sf.element_to_str(comp.try_clear())
-        except al.DeltaDivisionError:
-            text = repr(comp)
-        print(f"  d^{name} f =", text)
+    for name, comp in zip(mx.FOURVEC_INDEX, grad.components):
+        print(f"  d^{name} f =", repr(comp))   # over delta^n if any
 
 
 def main():

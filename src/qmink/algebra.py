@@ -92,10 +92,6 @@ class Element:
             return False
         return all(c == other.terms[key] for key, c in self.terms.items())
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -434,10 +430,6 @@ class Localized:
             return NotImplemented
         return self.dpow == other.dpow and self.num == other.num
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __add__(self, other):
         if isinstance(other, Element):
             other = Localized.of(other)
@@ -485,7 +477,7 @@ class Localized:
         if self.dpow == 0:
             return self.num
         raise DeltaDivisionError(
-            f"residual delta^{self.dpow} denominator", remainder=self.num)
+            f"residual delta^{self.dpow} denominator", remainder=self)
 
     def divide_by_delta(self, n=1):
         return Localized(self.num, self.dpow + n)

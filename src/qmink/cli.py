@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: it parses arguments and prints; the checks of
+`verify` and `char-check` are the suites of `qmink.verify`.
 
 Subcommands: normalize, derive, lpow, char-check, verify, solve.
 Exit status: 0 success, 1 verification failure, 2 usage or parse error.
@@ -10,19 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import scalars as sc
-from . import algebra as al
 from . import matrices as mx
 from . import derivatives as dv
-from . import lorentz as lz
 from . import waves as wv
 from . import surface as sf
+from . import verify as vf
 
-DEFAULT_MAX_DEGREE = 4
-_FOURVEC_NAMES = ("0", "-", "+", "3")
 _GEN_ALIASES = {"x0": "x0", "xm": "xm", "x-": "xm", "xp": "xp", "x+": "xp",
                 "x30": "x30"}
 
@@ -93,19 +90,13 @@ def cmd_normalize(args):
 
 
 def cmd_derive(args):
-    el = sf.parse_element(args.expr)
-    grad = dv.grad_closed(el)
+    grad = dv.grad_closed(sf.parse_element(args.expr))
     if args.json:
-        print(sf.gradient_to_json(
-            {name: comp for name, comp in
-             zip(_FOURVEC_NAMES, grad.components)}))
+        print(sf.gradient_to_json(dict(zip(mx.FOURVEC_INDEX,
+                                           grad.components))))
         return 0
-    for name, comp in zip(_FOURVEC_NAMES, grad.components):
-        try:
-            text = sf.element_to_str(comp.try_clear())
-        except al.DeltaDivisionError:
-            text = repr(comp)
-        print(f"{name}: {text}")
+    for name, comp in zip(mx.FOURVEC_INDEX, grad.components):
+        print(f"{name}: {comp!r}")    # canonical text, over delta^n if any
     return 0
 
 
@@ -119,219 +110,78 @@ def _check_degree(name, n):
 def cmd_lpow(args):
     _check_degree("power", args.n)
     mat = mx.l_pow_closed(_GEN_ALIASES[args.gen], args.n)
+    rows = [[sf.element_to_str(x.try_clear()) for x in row]
+            for row in mat.entries]
     if args.json:
-        rows = [[sf.element_to_str(x.try_clear()) for x in row]
-                for row in mat.entries]
         print(json.dumps({"dim": 4, "basis": "fourvec", "entries": rows}))
         return 0
-    for i, row in enumerate(mat.entries):
-        cells = "; ".join(sf.element_to_str(x.try_clear()) for x in row)
-        print(f"[{_FOURVEC_NAMES[i]}] {cells}")
+    for name, cells in zip(mx.FOURVEC_INDEX, rows):
+        print(f"[{name}] {'; '.join(cells)}")
     return 0
 
 
 def cmd_char_check(args):
-    results = [("L_x0 characteristic identity", mx.char_check_l0() is True),
-               ("B_x0 characteristic identity", mx.char_check_b0() is True)]
-    return _report(results, args.json)
+    return _report(vf.characteristic(), args.json)
 
 
 def cmd_verify(args):
     degree = args.max_degree
     if degree is None:
-        degree = int(os.environ.get("QMINK_MAX_DEGREE", DEFAULT_MAX_DEGREE))
+        degree = int(os.environ.get("QMINK_MAX_DEGREE",
+                                    vf.DEFAULT_MAX_DEGREE))
     _check_degree("--max-degree", degree)
-    results = []
-    if args.suite in ("structure", "all"):
-        results += lz.verify_structure()
-    if args.suite in ("calculus", "all"):
-        results += verify_calculus(degree)
-    if args.suite in ("waves", "all"):
-        results += verify_waves()
-    return _report(results, args.json)
+    reports, seconds = vf.run(args.suite, degree)
+    return _report(reports, args.json, seconds=seconds)
 
 
 def cmd_solve(args):
-    degree = args.degree
-    if degree is not None:
-        _check_degree("--degree", degree)
-    param = sc.M if args.kind == "massive" else sc.K
+    if args.degree is not None:
+        _check_degree("--degree", args.degree)
+    massive = args.kind == "massive"
+    param = sc.M if massive else sc.K
     if args.param is not None:
         param = sf.parse_scalar(args.param)
-    if args.kind == "massless":
-        n = 12 if degree is None else degree
-        state = wv.massless_state(param, n)
-        reports = [wv.verify_massless(state, k=param)] if args.verify else []
-    else:
-        n = 10 if degree is None else degree
+    n = args.degree if args.degree is not None else 10 if massive else 12
+    if massive:
         state = wv.massive_rest_state(param, n)
-        reports = []
-        if args.verify:
-            reports = [wv.verify_massive(state, m=param),
-                       wv.verify_klein_gordon(state, m=param)]
+        checks = (wv.verify_massive, wv.verify_klein_gordon)
+    else:
+        state = wv.massless_state(param, n)
+        checks = (wv.verify_massless,)
+    reports = [check(state, param) for check in checks] if args.verify else []
+    payload = {"kind": args.kind, "truncation": state.truncation}
     if args.json:
-        payload = {
-            "kind": args.kind,
-            "truncation": state.truncation,
-            "slices": [json.loads(sf.element_to_json(state.slice(d)))
-                       for d in range(state.truncation + 1)],
-        }
-        if args.verify:
-            payload["verification"] = [
-                {"name": r.name, "ok": r.ok,
-                 "degrees_checked": r.degrees_checked,
-                 "first_failure": r.first_failure}
-                for r in reports]
+        payload["slices"] = [json.loads(sf.element_to_json(sl))
+                             for sl in state.slices]
+    else:
+        for d, sl in enumerate(state.slices):
+            print(f"degree {d}: {sf.element_to_str(sl)}")
+    return _report(reports, args.json, payload)
+
+
+def _report(reports, as_json, payload=None, **extra):
+    """Print verification reports; returns the exit status.  A suite's
+    checks print PASS or FAIL (with what failed) lines, or JSON {"ok",
+    "results", **extra}; a solved state's checks print their own lines, or
+    go into its JSON payload as a "verification" list."""
+    ok = all(r.ok for r in reports)
+    records = [{"name": r.name, "ok": r.ok,
+                "degrees_checked": r.degrees_checked,
+                "first_failure": r.first_failure} for r in reports]
+    lines = reports
+    if payload is None:
+        payload = {"ok": ok, "results": records, **extra}
+        lines = [("PASS " if r.ok else "FAIL ") + r.name +
+                 ("" if r.residual is None else f": {r.residual!r}")
+                 for r in reports]
+    elif reports:
+        payload["verification"] = records
+    if as_json:
         print(json.dumps(payload))
     else:
-        for d in range(state.truncation + 1):
-            print(f"degree {d}: {sf.element_to_str(state.slice(d))}")
-        for r in reports:
-            print(r)
-    return 0 if all(r.ok for r in reports) else 1
-
-
-# -- verification suites ----------------------------------------------------------
-
-def verify_calculus(max_degree=DEFAULT_MAX_DEGREE, rng=None, n_random=50):
-    """Calculus identities up to a degree bound; returns (name, ok) pairs."""
-    rng = rng or random.Random(20240601)
-    results = []
-
-    ok = all(
-        dv.grad_oracle(al.gen_element(g)).cleared() ==
-        tuple(al.one() if mu == nu else al.zero() for mu in range(4))
-        for nu, g in enumerate(("x0", "xm", "xp", "x3")))
-    results.append(("generator derivatives d^mu x_nu = delta^mu_nu", ok))
-
-    results.append(("characteristic identity of L_x0",
-                    mx.char_check_l0() is True))
-    results.append(("characteristic identity of B_x0",
-                    mx.char_check_b0() is True))
-
-    ok = True
-    for alpha in ("x0", "xm", "xp", "x30"):
-        mat = mx.l_matrix(alpha)
-        for n in range(min(max_degree, 4) + 1):
-            if mx.l_pow_closed(alpha, n) != mx.mat_pow_naive(mat, n):
-                ok = False
-    results.append(("closed-form L powers match repeated products", ok))
-
-    pp, pm = mx.projectors()
-    eye = mx.identity(4)
-    results.append(("projector algebra",
-                    (pp + pm) == eye and (pp * pm).is_zero()
-                    and (pm * pp).is_zero() and pp * pp == pp
-                    and pm * pm == pm))
-
-    coeff = sc.q_power(-1) * sc.two_q()
-    got = dv.grad_closed(al.xsq_element()).cleared()
-    results.append(("four-length derivative",
-                    all(got[mu] == mx.x_upper(mu).scale(coeff)
-                        for mu in range(4))))
-
-    ok = True
-    for el in _basis_monomials(max_degree):
-        if dv.grad_closed(el) != dv.grad_oracle(el):
-            ok = False
-            break
-    results.append((f"closed gradient = oracle (degree <= {max_degree})", ok))
-
-    ok = True
-    for _ in range(n_random):
-        el = _random_element(rng, max_degree)
-        if dv.grad_closed(el) != dv.grad_oracle(el):
-            ok = False
-            break
-    results.append((f"closed gradient = oracle ({n_random} random)", ok))
-
-    ok = True
-    for _ in range(max(n_random // 2, 10)):
-        f = _random_monomial(rng, max_degree)
-        g = _random_monomial(rng, max_degree)
-        h = _random_monomial(rng, max_degree)
-        if (f * g) * h != f * (g * h):
-            ok = False
-            break
-    results.append(("associativity of normal ordering", ok))
-    return results
-
-
-def verify_waves(n_massless=12, n_massive=10):
-    results = []
-    psi = wv.massless_state(n_max=n_massless)
-    results.append((f"massless state (N={n_massless})",
-                    wv.verify_massless(psi).ok))
-    phi = wv.massive_rest_state(n_max=n_massive)
-    results.append((f"massive rest state (N={n_massive})",
-                    wv.verify_massive(phi).ok))
-    results.append(("quantum Klein-Gordon equation",
-                    wv.verify_klein_gordon(phi).ok))
-    ok = True
-    for d in range(phi.truncation + 1):
-        if any(k[1] % 2 for k in wv.central_alpha_expansion(phi.slice(d))):
-            ok = False
-    results.append(("square root drops out of the rest state", ok))
-    return results
-
-
-def _basis_monomials(max_degree):
-    """Basis monomials of both ordered families up to a degree bound."""
-    out = []
-    for i in range(max_degree // 2 + 1):
-        for j in range(max_degree + 1):
-            for kk in range(max_degree + 1):
-                for l in range(max_degree + 1):
-                    if 2 * i + j + kk + l > max_degree:
-                        continue
-                    head = al.xsq_element() ** i * al.x0_element() ** j
-                    out.append(head * al.monomial(d=kk, e=l))
-                    if l:
-                        out.append(head * al.monomial(c=l) * al.monomial(d=kk))
-    return out
-
-
-def _random_monomial(rng, max_degree):
-    while True:
-        a, b = rng.randint(0, 2), rng.randint(0, 2)
-        c, d, e = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
-        if c and e:
-            continue
-        if a + b + c + d + e <= max_degree:
-            return al.monomial(a, b, c, d, e)
-
-
-def _random_basis_monomial(rng, max_degree):
-    """Random element of the ordered basis B- u B+ (degree bound)."""
-    while True:
-        i, j = rng.randint(0, 2), rng.randint(0, 2)
-        kk, l = rng.randint(0, 2), rng.randint(0, 2)
-        if 2 * i + j + kk + l <= max_degree:
-            break
-    head = al.xsq_element() ** i * al.x0_element() ** j
-    if rng.random() < 0.5:
-        return head * al.monomial(d=kk, e=l)
-    return head * al.monomial(c=l) * al.monomial(d=kk)
-
-
-def _random_element(rng, max_degree, nterms=3):
-    terms = []
-    for _ in range(nterms):
-        coeff = sc.integer(rng.randint(-4, 4)) * sc.q_power(rng.randint(-2, 2))
-        terms.append(_random_basis_monomial(rng, max_degree).scale(coeff))
-    return al.add_all(terms)
-
-
-def _report(results, as_json):
-    ok_all = all(ok for _, ok in results)
-    if as_json:
-        print(json.dumps({"ok": ok_all,
-                          "results": [{"name": n, "ok": ok}
-                                      for n, ok in results]}))
-    else:
-        for name, ok in results:
-            print(("PASS " if ok else "FAIL ") + name)
-    return 0 if ok_all else 1
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ from .algebra import Element, Localized
 from . import matrices as mx
 
 __all__ = [
-    "Gradient", "OrderedPoly", "jackson", "jackson_element",
+    "Gradient", "OrderedPoly", "jackson_element",
     "grad_oracle", "grad_closed", "delta_correction",
     "raise_index", "lower_index", "contract_d_alembert",
     "subst_xi_scale",
@@ -155,11 +155,6 @@ class OrderedPoly:
         if self.terms.keys() != other.terms.keys():
             return False
         return all(v == other.terms[k] for k, v in self.terms.items())
-
-
-def jackson(f, var):
-    """Partial Jackson derivative of an OrderedPoly."""
-    return f.jackson(var)
 
 
 def jackson_element(f, var):

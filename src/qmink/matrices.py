@@ -31,7 +31,7 @@ from . import algebra as al
 from .algebra import Element, Localized
 
 __all__ = [
-    "Matrix", "identity", "FOURVEC_INDEX", "SPINOR_PAIR_INDEX",
+    "Matrix", "identity", "FOURVEC_INDEX",
     "b_matrix", "l_matrix", "l_matrix_spinor", "basis_change_matrix",
     "mat_pow_naive", "b_pow_closed", "l_pow_closed",
     "char_check_l0", "char_check_b0", "char_residual",
@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 FOURVEC_INDEX = ("0", "-", "+", "3")
-SPINOR_PAIR_INDEX = ("--", "-+", "+-", "++")
-
-_GEN_OF_INDEX = ("x0", "xm", "xp", "x3")
 
 
 class Matrix:
@@ -85,10 +82,6 @@ class Matrix:
         return self.dim == other.dim and all(
             a == b for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb))
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
 
     def __add__(self, other):
         return Matrix([[a + b for a, b in zip(ra, rb)]

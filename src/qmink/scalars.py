@@ -297,10 +297,6 @@ class Scalar:
         return _nmul(self.num, _den_as_num(other.den)) == \
             _nmul(other.num, _den_as_num(self.den))
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __bool__(self):
         return bool(self.num)
 

@@ -120,8 +120,6 @@ _GEN_ALIASES = {
     "ξ₊": "xip", "ξ₋": "xim",  # subscript plus/minus
     "x²": "xsq",                              # x squared
 }
-_SYMS = ("q", "i", "r", "m", "k")
-
 _TOKEN_RE = re.compile(
     "|".join([
         r"(?P<num>\d+)",

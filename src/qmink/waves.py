@@ -59,11 +59,13 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of a graded verification."""
+    """Outcome of one check.  A graded check also records the degrees it
+    verified and the first degree that failed; a failure keeps what failed
+    in `residual`."""
 
     name: str
     ok: bool
-    degrees_checked: int
+    degrees_checked: int | None = None
     first_failure: int | None = None
     residual: object = None
 
@@ -115,22 +117,32 @@ def massive_rest_state(m=None, n_max=10):
     return plus * minus
 
 
-def _graded_gradient_check(name, series, expected, n_max=None,
-                           grad_fn=dv.grad_closed):
+def _graded_check(name, series, lag, mismatch):
+    """Check mismatch(slice_d, slice_{d-lag}) is None and divides out every
+    delta, for d = 0..N; a failure at d reports as a pass over 0..d-1."""
+    for d in range(series.truncation + 1):
+        try:
+            residual = mismatch(series.slice(d), series.slice(d - lag))
+        except al.DeltaDivisionError as err:
+            residual = err.remainder
+        if residual is not None:
+            return VerifyReport(name, False, max(d - 1 - lag, 0), d, residual)
+    return VerifyReport(name, True, max(series.truncation - lag, 0))
+
+
+def _graded_gradient_check(name, series, expected, grad_fn=dv.grad_closed):
     """Check grad(slice_d)^mu == expected(mu, slice_{d-1}) for all d."""
-    n = series.truncation if n_max is None else min(n_max, series.truncation)
-    for d in range(n + 1):
-        got = grad_fn(series.slice(d)).cleared()
-        prev = series.slice(d - 1) if d else al.zero()
+    def mismatch(sl, prev):
+        got = grad_fn(sl).cleared()
         for mu in range(4):
             want = expected(mu, prev)
             if got[mu] != want:
-                return VerifyReport(name, False, n, first_failure=d,
-                                    residual=got[mu] - want)
-    return VerifyReport(name, True, n - 1 if n else 0)
+                return got[mu] - want
+
+    return _graded_check(name, series, 1, mismatch)
 
 
-def verify_massless(series, k=None, n_max=None):
+def verify_massless(series, k=None):
     """All four eigenvalue equations of the light cone state:
     d^0 psi = i k psi, d^3 psi = -i k psi, d^+- psi = 0."""
     ik = sc.I * (sc.K if k is None else k)
@@ -143,10 +155,10 @@ def verify_massless(series, k=None, n_max=None):
         return al.zero()
 
     return _graded_gradient_check("massless eigenvalue equations",
-                                  series, expected, n_max)
+                                  series, expected)
 
 
-def verify_massive(series, m=None, n_max=None):
+def verify_massive(series, m=None):
     """Rest state equations: d^0 psi = i m psi, spatial derivatives zero."""
     im = sc.I * (sc.M if m is None else m)
 
@@ -154,23 +166,19 @@ def verify_massive(series, m=None, n_max=None):
         return prev.scale(im) if mu == 0 else al.zero()
 
     return _graded_gradient_check("massive eigenvalue equations",
-                                  series, expected, n_max)
+                                  series, expected)
 
 
-def verify_klein_gordon(series, m=None, n_max=None):
+def verify_klein_gordon(series, m=None):
     """d_mu d^mu psi = -m^2 psi, checked on degree slices."""
-    if m is None:
-        m = sc.M
-    msq = -(m * m)
-    n = series.truncation if n_max is None else min(n_max, series.truncation)
-    name = "quantum Klein-Gordon equation"
-    for d in range(n + 1):
-        box = dv.contract_d_alembert(series.slice(d))
-        want = series.slice(d - 2).scale(msq) if d >= 2 else al.zero()
-        if box != want:
-            return VerifyReport(name, False, n, first_failure=d,
-                                residual=box - want)
-    return VerifyReport(name, True, max(n - 2, 0))
+    msq = -(sc.M * sc.M if m is None else m * m)
+
+    def mismatch(sl, prev2):
+        box, want = dv.contract_d_alembert(sl), prev2.scale(msq)
+        return None if box == want else box - want
+
+    return _graded_check("quantum Klein-Gordon equation", series, 2,
+                         mismatch)
 
 
 def central_alpha_expansion(el):

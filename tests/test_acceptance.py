@@ -14,6 +14,7 @@ from qmink import lorentz as lz
 from qmink import matrices as mx
 from qmink import scalars as sc
 from qmink import waves as wv
+from qmink.verify import basis_monomials
 
 
 def _report(num, desc, ok):
@@ -49,21 +50,6 @@ def test_criterion_03_closed_form_powers():
     _report(3, "closed-form L powers equal repeated products, n <= 8", ok)
 
 
-def _basis_monomials(max_degree):
-    out = []
-    for i in range(max_degree // 2 + 1):
-        for j in range(max_degree + 1):
-            for k in range(max_degree + 1):
-                for l in range(max_degree + 1):
-                    if 2 * i + j + k + l > max_degree:
-                        continue
-                    head = al.xsq_element() ** i * al.x0_element() ** j
-                    out.append(head * al.monomial(d=k, e=l))
-                    if l:
-                        out.append(head * al.monomial(c=l) * al.monomial(d=k))
-    return out
-
-
 def _random_combination(rng, max_degree, nterms=3):
     acc = al.zero()
     for _ in range(nterms):
@@ -83,7 +69,7 @@ def _random_combination(rng, max_degree, nterms=3):
 
 def test_criterion_04_oracle_equivalence():
     ok = True
-    for el in _basis_monomials(6):
+    for el in basis_monomials(6):
         if dv.grad_closed(el) != dv.grad_oracle(el):
             ok = False
             break

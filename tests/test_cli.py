@@ -201,3 +201,29 @@ def test_solve_with_numeric_param(capsys):
     code, _ = run(capsys, "solve", "massless", "--param", "0",
                   "--degree", "3", "--verify")
     assert code == 0
+
+
+def test_failing_calculus_check_keeps_its_input(capsys, monkeypatch):
+    from qmink import algebra as al, derivatives as dv, verify as vf
+    bad = al.x0_element() * al.monomial(d=1)
+    assert any(el == bad for el in vf.basis_monomials(2))
+    oracle = dv.grad_oracle
+    shift = dv.Gradient.of_elements((al.one(),) + (al.zero(),) * 3)
+    monkeypatch.setattr(dv, "grad_oracle",
+                        lambda el: oracle(el) + shift if el == bad
+                        else oracle(el))
+    reports = {r.name: r for r in vf.calculus(2)}
+    report = reports["closed gradient = oracle (degree <= 2)"]
+    assert not report.ok and report.residual == bad
+    code, out = run(capsys, "verify", "calculus", "--max-degree", "2")
+    assert code == 1
+    assert f"FAIL closed gradient = oracle (degree <= 2): {bad!r}\n" in out
+
+
+def test_verify_json_records_and_timings(capsys):
+    code, out = run(capsys, "verify", "structure", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] and set(data["seconds"]) == {"structure"}
+    assert all(set(r) == {"name", "ok", "degrees_checked", "first_failure"}
+               for r in data["results"])

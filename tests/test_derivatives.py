@@ -6,10 +6,10 @@ from functools import lru_cache
 import pytest
 
 from qmink import algebra as al
-from qmink import cli
 from qmink import derivatives as dv
 from qmink import matrices as mx
 from qmink import scalars as sc
+from qmink.verify import basis_monomials
 
 GENS = ("x0", "xm", "xp", "x3")
 lam = sc.lambda_()
@@ -203,21 +203,6 @@ def test_kappa_l_on_central_functions():
 
 # -- closed form vs oracle -------------------------------------------------------
 
-def _basis_monomials(max_degree):
-    out = []
-    for i in range(max_degree // 2 + 1):
-        for j in range(max_degree + 1):
-            for k in range(max_degree + 1):
-                for l in range(max_degree + 1):
-                    if 2 * i + j + k + l > max_degree:
-                        continue
-                    head = al.xsq_element() ** i * al.x0_element() ** j
-                    out.append(head * al.monomial(d=k, e=l))
-                    if l:
-                        out.append(head * al.monomial(c=l) * al.monomial(d=k))
-    return out
-
-
 def _random_algebra_element(rng, deg=3, nterms=3):
     acc = al.zero()
     for _ in range(nterms):
@@ -233,7 +218,7 @@ def _random_algebra_element(rng, deg=3, nterms=3):
 
 
 def test_closed_equals_oracle_basis_degree4():
-    for el in _basis_monomials(4):
+    for el in basis_monomials(4):
         assert grad_eq(dv.grad_closed(el), dv.grad_oracle(el))
 
 
@@ -299,7 +284,7 @@ def test_closed_gradient_equals_the_per_product_reference():
     monos = [al.monomial(a, b, c, d, e)
              for a, b, c, d, e in itertools.product(range(5), repeat=5)
              if a + b + c + d + e <= 4 and not (c and e)]
-    for el in monos + _basis_monomials(4):
+    for el in monos + basis_monomials(4):
         assert grad_eq(dv.grad_closed(el), _ref_grad_closed(el)), el
 
 
@@ -318,7 +303,7 @@ def _delta_kept(grad):
 def test_closed_gradient_components_are_reduced():
     # equality of Localized values compares (num, dpow), so every component
     # must come back with no delta left to cancel
-    for el in cli._basis_monomials(5):
+    for el in basis_monomials(5):
         grad = dv.grad_closed(el)
         _delta_kept(grad)
         grad.cleared()

@@ -130,3 +130,41 @@ def test_failure_report_carries_degree():
     assert not report.ok
     assert report.first_failure == 1
     assert report.residual is not None
+
+
+
+def test_massless_failure_counts_only_the_degrees_before_it():
+    # a failure at slice d reports what a pass over slices 0..d-1 would
+    psi = wv.massless_state(n_max=6)
+    slices = list(psi.slices)
+    slices[3] = slices[3].scale(sc.integer(2))
+    report = wv.verify_massless(wv.TruncatedSeries(tuple(slices), 6))
+    assert (report.ok, report.first_failure) == (False, 3)
+    assert report.degrees_checked == 1
+
+
+def test_klein_gordon_failure_counts_only_the_degrees_before_it():
+    phi = wv.massive_rest_state(n_max=6)
+    slices = list(phi.slices)
+    slices[4] = slices[4] + al.monomial(a=2, b=2)
+    report = wv.verify_klein_gordon(wv.TruncatedSeries(tuple(slices), 6))
+    assert (report.ok, report.first_failure) == (False, 4)
+    assert report.degrees_checked == 1
+
+
+# grad xi+ keeps a delta^1 denominator: a failing report, not an exception
+_UNDIVIDED = wv.TruncatedSeries((al.one(), al.monomial(a=1)), 1)
+
+
+def _assert_fails_on_the_undivided_slice(report):
+    assert not report.ok and report.first_failure == 1
+    assert isinstance(report.residual, al.Localized)
+    assert report.residual.dpow > 0
+
+
+def test_undivided_delta_fails_the_massive_check():
+    _assert_fails_on_the_undivided_slice(wv.verify_massive(_UNDIVIDED))
+
+
+def test_undivided_delta_fails_the_klein_gordon_check():
+    _assert_fails_on_the_undivided_slice(wv.verify_klein_gordon(_UNDIVIDED))
