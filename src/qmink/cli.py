@@ -32,7 +32,14 @@ def main(argv=None):
         # argparse exits with 2 on usage errors already; normalize others
         raise SystemExit(2 if err.code not in (0,) else 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: as the signal docs advise, point stdout
+        # at devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except sf.ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

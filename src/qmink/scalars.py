@@ -19,12 +19,11 @@ forms.
 Denominators in s alone are reduced on construction.  The engine builds
 them from [2] = s^-2 Phi_8(s), lambda = s^-2 Phi_1 Phi_2 Phi_4 and
 [[n]] = prod_{d | 4n, d not dividing 4} Phi_d(s), so each is c times a
-product of cyclotomic polynomials Phi_d(s).  Its *split* {d: e_d} is cached
-by primitive part; a product's split is the sum of its factors' splits, and
-the q-factorials register theirs.  The gcd with the numerator is then found
-by exact trial division by each Phi_d, with no general polynomial gcd.  A
-denominator that does not split falls back to a primitive-PRS gcd, and
-denominators involving m or k to sympy's.
+product of cyclotomic polynomials Phi_d(s).  A Scalar carries the
+exponents e_d, its denominator's *split*: a product's split is the sum of
+its factors', and a reduction finds the gcd by exact trial division by each
+Phi_d and subtracts what it cancels.  A denominator that does not split
+falls back to a primitive-PRS gcd, and those involving m or k to sympy's.
 
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
@@ -33,7 +32,7 @@ factor with an already reduced denominator that the other did not.
 
 A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
 reduces once instead of once per product and per partial sum: numerators
-are multiplied into one group per product denominator, and each group is
+are multiplied into one group per product split, and each group is
 reduced when the sum is built.  A group whose numerator passes
 `_GROUP_MAX_TERMS` terms is reduced at once and started again empty.
 """
@@ -123,12 +122,6 @@ def _is_unit(n):
     return not (em or ek or er)
 
 
-def _product_factors(d1, d2):
-    """The factors to pass with the denominator d1 d2.  When one of them is
-    a monomial the product shares the other's cached split, so none are."""
-    return (d1, d2) if len(d1) > 1 and len(d2) > 1 else ()
-
-
 def _nadd(n1, n2):
     acc = dict(n1)
     for key, c in n2.items():
@@ -169,18 +162,20 @@ def _content(*dicts):
 class Scalar:
     """Immutable element of the exact coefficient field."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "split")
     __hash__ = None
 
-    def __init__(self, num, den=None, _normalize=True, _factors=()):
-        # _factors: denominators whose product is den, when den was built
-        # as one (their cached splits give den's split)
+    def __init__(self, num, den=None, _normalize=True, split=False):
+        # split: den's cyclotomic split when known; False looks it up
         if den is None:
-            den = {_DKEY0: 1}
+            den, split = {_DKEY0: 1}, ()
         if _normalize:
-            num, den = _light_normalize(num, den, _factors)
+            num, den, split = _light_normalize(num, den, split)
+        elif split is False:
+            split = _den_split(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "split", split)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -201,13 +196,14 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.den == other.den:
-            return Scalar(_nadd(self.num, other.num), dict(self.den))
+            return Scalar(_nadd(self.num, other.num), dict(self.den),
+                          split=self.split)
         n = _nadd(_nmul(self.num, _den_as_num(other.den)),
                   _nmul(other.num, _den_as_num(self.den)))
         if not n:
             return ZERO
         return Scalar(n, _dmul(self.den, other.den),
-                      _factors=_product_factors(self.den, other.den))
+                      split=_add_splits(self.split, other.split))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -215,7 +211,8 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self):
-        return Scalar(_nscale(self.num, -1), dict(self.den), _normalize=False)
+        return Scalar(_nscale(self.num, -1), dict(self.den), _normalize=False,
+                      split=self.split)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -225,19 +222,18 @@ class Scalar:
         d1, d2 = self.den, other.den
         one1, one2 = d1 == _DEN_ONE, d2 == _DEN_ONE
         if one1 and one2:
-            return Scalar(_nmul(self.num, other.num), {_DKEY0: 1},
-                          _normalize=False)
+            return Scalar(_nmul(self.num, other.num), None, _normalize=False)
         if (one1 and _is_unit(self.num)) or (one2 and _is_unit(other.num)):
             # a unit shares no factor with the other, reduced, denominator
             num = _nmul(self.num, other.num)
-            den = d2 if one1 else d1
+            den, split = (d2, other.split) if one1 else (d1, self.split)
             c = _content(den, num)
             if c > 1:
                 num = {key: v // c for key, v in num.items()}
                 den = {key: v // c for key, v in den.items()}
-            return Scalar(num, den, _normalize=False)
+            return Scalar(num, den, _normalize=False, split=split)
         return Scalar(_nmul(self.num, other.num), _dmul(d1, d2),
-                      _factors=_product_factors(d1, d2))
+                      split=_add_splits(self.split, other.split))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -303,9 +299,12 @@ class Scalar:
     # -- normal forms and substitution -------------------------------------
 
     def canonical(self):
-        """Fully reduced representative (unique per field value)."""
-        num, den = _full_reduce(self.num, self.den)
-        return Scalar(num, den, _normalize=False)
+        """Fully reduced representative (unique per field value).  A
+        denominator in s alone was fully reduced on construction."""
+        if not any(k[1] or k[2] for k in self.den):
+            return self
+        num, den, split = _full_reduce(self.num, self.den)
+        return Scalar(num, den, _normalize=False, split=split)
 
     def subst_classical(self):
         """Exact value at s = 1 (q = 1); keeps m, k, i symbolic.
@@ -372,21 +371,19 @@ class SumOfProducts:
     """Sums of products a * b of Scalars, one sum per key, reduced once.
 
     `add(key, a, b)` multiplies the numerators of a and b into the group of
-    the key with the product's denominator, without reducing anything.  The
-    product denominator is formed once per pair of denominators and passes
-    its factors on, so that the cyclotomic splits stay cached.  `result()`
-    reduces each group once and sums the groups of each key.  A key that
-    receives a single product costs no denominator work: `result()` forms
-    it with `Scalar.__mul__`, whose unit fast path needs no reduction.
+    the key and the product denominator, known by its constant term and its
+    split, without reducing anything; a product whose split is None is
+    formed and summed at once.  `result()` reduces each group once and sums
+    the groups of each key.  A key that receives a single product costs no
+    denominator work: `result()` forms it with `Scalar.__mul__`, whose unit
+    fast path needs no reduction.
     """
 
-    __slots__ = ("_lone", "_groups", "_pairs", "_dens", "_sums")
+    __slots__ = ("_lone", "_groups", "_sums")
 
     def __init__(self):
         self._lone = {}       # key -> (a, b) while its only product, else None
-        self._groups = {}     # (key, den index) -> [num, den, factors]
-        self._pairs = {}      # items of (den a, den b) -> _pair(den a, den b)
-        self._dens = {}       # product den as a frozenset -> den index
+        self._groups = {}     # (key, constant term, split) -> numerator
         self._sums = {}       # key -> sum of the groups reduced so far
 
     def add(self, key, a, b):
@@ -403,33 +400,21 @@ class SumOfProducts:
         self._group_add(key, a, b)
 
     def _group_add(self, key, a, b):
-        da, db = a.den, b.den
-        pkey = (tuple(da.items()), tuple(db.items()))
-        pair = self._pairs.get(pkey)
-        if pair is None:
-            pair = self._pairs[pkey] = self._pair(da, db)
-        gkey = (key, pair[0])
-        group = self._groups.get(gkey)
-        if group is None:
-            group = self._groups[gkey] = [{}, pair[1], pair[2]]
-        num = group[0]
+        split = _add_splits(a.split, b.split)
+        if split is None:
+            self._reduce(key, a * b)
+            return
+        gkey = (key, a.den[_DKEY0] * b.den[_DKEY0], split)
+        num = self._groups.get(gkey)
+        if num is None:
+            num = self._groups[gkey] = {}
         for k1, c1 in a.num.items():
             for k2, c2 in b.num.items():
                 _nmul_into(num, k1, c1, k2, c2)
         if len(num) > _GROUP_MAX_TERMS:
-            self._reduce(key, Scalar(num, group[1], _factors=group[2]))
-            group[0] = {}
-
-    def _pair(self, da, db):
-        """(index, den, factors) of the product denominator da db."""
-        if da == _DEN_ONE:
-            den, factors = db, ()
-        elif db == _DEN_ONE:
-            den, factors = da, ()
-        else:
-            den, factors = _dmul(da, db), _product_factors(da, db)
-        index = self._dens.setdefault(frozenset(den.items()), len(self._dens))
-        return index, den, factors
+            den = _split_den(gkey[1], split)
+            self._reduce(key, Scalar(num, den, split=split))
+            self._groups[gkey] = {}
 
     def _reduce(self, key, x):
         prev = self._sums.get(key)
@@ -441,9 +426,10 @@ class SumOfProducts:
         for key, lone in self._lone.items():
             if lone:
                 self._sums[key] = lone[0] * lone[1]
-        for (key, _), (num, den, factors) in self._groups.items():
+        for (key, c, split), num in self._groups.items():
             if num:
-                self._reduce(key, Scalar(num, den, _factors=factors))
+                self._reduce(key, Scalar(num, _split_den(c, split),
+                                         split=split))
         out = {key: x for key, x in self._sums.items() if x.num}
         self._lone, self._groups, self._sums = {}, {}, {}
         return out
@@ -451,19 +437,22 @@ class SumOfProducts:
 
 # -- normalization ----------------------------------------------------------
 
-def _light_normalize(num, den, factors=()):
+def _light_normalize(num, den, split=False):
+    """(num, den, split) normalized, den's split looked up if False."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {_DKEY0: 1}
+        return {}, {_DKEY0: 1}, ()
     # shift minimal s-degree of den into num (Laurent units)
     shift = min(key[0] for key in den)
     if shift:
         den = {(es - shift, em, ek): v for (es, em, ek), v in den.items()}
         num = {(es - shift, em, ek, ei, er): v
                for (es, em, ek, ei, er), v in num.items()}
-    if len(den) > 1 and all(k[1] == 0 and k[2] == 0 for k in den):
-        num, den = _reduce_s_only(num, den, factors)
+    if split is False:
+        split = _den_split(den)
+    if split or (split is None and not any(k[1] or k[2] for k in den)):
+        num, den, split = _reduce_s_only(num, den, split)
     c = _content(num, den)
     if c > 1:
         num = {key: v // c for key, v in num.items()}
@@ -471,7 +460,7 @@ def _light_normalize(num, den, factors=()):
     if den[min(den)] < 0:
         num = _nscale(num, -1)
         den = {key: -v for key, v in den.items()}
-    return num, den
+    return num, den, split
 
 
 def _dense(den):
@@ -514,25 +503,25 @@ def _div_slice(sl, g):
     return _unshifted(lo, _div_monic(arr, g))
 
 
-def _reduce_s_only(num, den, factors=()):
-    """Cancel the gcd when the denominator is a polynomial in s alone.
+def _reduce_s_only(num, den, split):
+    """Cancel the gcd of num and a denominator in s alone with the given
+    split; returns (num, den, split).
 
-    Keeps fractions small along summation chains.  The gcd is read off the
-    denominator's cyclotomic split (see `_den_split`): each Phi_d is divided
-    out of every numerator slice as long as all of them divide.  A
-    denominator that is not a product of Phi_d's falls back to `_reduce_prs`.
-    `factors` are denominators whose product is `den`, when known.
+    Keeps fractions small along summation chains.  Each Phi_d of the split
+    is divided out of every numerator slice as long as all of them divide.
+    A denominator that is not a product of Phi_d's (split None) falls back
+    to `_reduce_prs`.
     """
     slices = _slices(num)
     probe = sorted(slices.values(), key=len)
     if len(probe[0]) == 1:
         # an s-monomial slice shares no factor with the denominator
-        return num, den
-    split = _den_split(den, factors)
+        return num, den, split
     if split is None:
-        return _reduce_prs(num, den)
+        num, den = _reduce_prs(num, den)
+        return num, den, _den_split(den)
     cancelled = {}
-    for d, e in split.items():
+    for d, e in split:
         for _ in range(e):
             if not all(_phi_divides(sl.items(), d) for sl in probe):
                 break
@@ -541,17 +530,12 @@ def _reduce_s_only(num, den, factors=()):
             probe = sorted(slices.values(), key=len)
             cancelled[d] = cancelled.get(d, 0) + 1
     if not cancelled:
-        return num, den
-    prod = [1]
-    for d, c in cancelled.items():
-        for _ in range(c):
-            prod = _mul_zs(prod, _cyclotomic(d))
-    new_den = {(es, 0, 0): v
-               for es, v in enumerate(_div_monic(_dense(den), prod)) if v}
-    _SPLITS.setdefault(_prim_key(new_den), {
-        d: e - cancelled.get(d, 0) for d, e in split.items()
-        if e > cancelled.get(d, 0)})
-    return _join(slices), new_den
+        return num, den, split
+    # den / prod Phi_d^c_d, where that product's constant term is (-1)^c_1
+    c = -den[_DKEY0] if cancelled.get(1, 0) % 2 else den[_DKEY0]
+    split = tuple((d, e - cancelled.get(d, 0)) for d, e in split
+                  if e > cancelled.get(d, 0))
+    return _join(slices), _split_den(c, split), split
 
 
 def _reduce_prs(num, den):
@@ -654,17 +638,17 @@ def _div_zs(a, g):
 
 # -- cyclotomic splits ------------------------------------------------------
 #
-# The split of an s-only denominator is {d: e_d} with
-# den = c * prod_d Phi_d(s)^e_d.  Splits are cached by the primitive part of
-# the denominator (content and sign divided out), so c * den shares the
-# entry of den.  A product's split is the sum of its factors' splits, so
-# only fresh denominators (inverses, say) are ever split from scratch; the
-# q-factorials, whose inverses the q-exponentials take, are registered as
-# they are built.  The entry is None for a denominator that is not all
-# cyclotomic, or whose split from scratch would need an order d above
-# _SCRATCH_MAX_ORDER; the PRS reduces those.
+# The split of a denominator in s alone is the sorted tuple of (d, e_d) with
+# den = c * prod_d Phi_d(s)^e_d; it is () for a constant.  It is None for a
+# denominator in m or k, and for one that is not all cyclotomic or whose
+# split from scratch would need an order d above _SCRATCH_MAX_ORDER; the
+# PRS reduces the latter.  Only a fresh denominator (an inverse, read text)
+# is looked up in _SPLITS, by its primitive part (content and sign divided
+# out).  The q-factorials, whose inverses the q-exponentials take, and the
+# products of _split_den register theirs there.
 
 _SPLITS = {}
+_PRODUCTS = {}          # split -> its product of Phi_d's, constant term 1
 # Largest order d tried by a split from scratch: Phi_4n is the largest
 # factor of [[n]], and 4 * 64 covers every truncation degree the command
 # line accepts.  Trying every order up to L costs about L * (L + terms);
@@ -701,29 +685,35 @@ def _div_monic(a, g):
     return out
 
 
-def _totient(d):
-    out, m, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
+def _binomials(d):
+    """The (k, mu(d/k)) with d/k squarefree: Phi_d(s) is the product of
+    (s^k - 1)^mu(d/k), and phi(d) the sum of k mu(d/k) (Moebius)."""
+    out = [(d, 1)]
+    for k in _prime_cofactors(d):
+        out += [(j * k // d, -mu) for j, mu in out]
+    return out
+
+
+def _phi_product(split):
+    """prod Phi_d(s)^e_d as a little-endian coefficient list, built from
+    binomials s^k - 1, each multiplied or divided in one pass."""
+    powers = {}
+    for d, e in split:
+        for k, mu in _binomials(d):
+            powers[k] = powers.get(k, 0) + mu * e
+    out = [1]
+    for k, f in sorted(powers.items(), key=lambda kf: -kf[1]):  # divide last
+        binom = [-1] + [0] * (k - 1) + [1]
+        for _ in range(abs(f)):
+            out = _mul_zs(binom, out) if f > 0 else _div_monic(out, binom)
     return out
 
 
 def _cyclotomic(d):
     """Phi_d(s) as a little-endian coefficient list."""
-    phi = _PHI.get(d)
-    if phi is None:
-        phi = [-1] + [0] * (d - 1) + [1]
-        for k in range(1, d):
-            if d % k == 0:
-                phi = _div_monic(phi, _cyclotomic(k))
-        _PHI[d] = phi
-    return phi
+    if d not in _PHI:
+        _PHI[d] = _phi_product(((d, 1),))
+    return _PHI[d]
 
 
 def _phi_divides(terms, d):
@@ -774,29 +764,39 @@ def _prim_key(den):
     return frozenset((key, v // c) for key, v in den.items())
 
 
-def _den_split(den, factors=()):
-    """The cached split of an s-only denominator dict, or None.
-
-    On a miss the split is the sum of the splits of `factors` when given,
-    else it is computed from scratch; either way it is cached.
-    """
+def _den_split(den):
+    """The split of a denominator dict with lowest s-power 0, cached."""
+    if len(den) == 1 and _DKEY0 in den:
+        return ()
+    if any(k[1] or k[2] for k in den):
+        return None
     key = _prim_key(den)
     if key not in _SPLITS:
-        if factors:
-            parts = [_den_split(f) for f in factors]
-            split = None if None in parts else _sum_splits(parts)
-        else:
-            split = _split_from_scratch(_dense(dict(key)))
-        _SPLITS[key] = split
+        _SPLITS[key] = _split_from_scratch(_dense(dict(key)))
     return _SPLITS[key]
 
 
-def _sum_splits(parts):
-    out = {}
-    for part in parts:
-        for d, e in part.items():
-            out[d] = out.get(d, 0) + e
-    return out
+def _add_splits(a, b):
+    """The split of a product of denominators with splits a and b."""
+    if a is None or b is None:
+        return None
+    if not a or not b:
+        return a or b
+    out = dict(a)
+    for d, e in b:
+        out[d] = out.get(d, 0) + e
+    return tuple(sorted(out.items()))
+
+
+def _split_den(c, split):
+    """The denominator with constant term c and the given split."""
+    p = _PRODUCTS.get(split)
+    if p is None:
+        dense = _phi_product(split)
+        p = {(es, 0, 0): v * dense[0] for es, v in enumerate(dense) if v}
+        _PRODUCTS[split] = p
+        _SPLITS[frozenset(p.items())] = split
+    return {key: c * v for key, v in p.items()}
 
 
 def _order_bound(n):
@@ -825,44 +825,31 @@ def _split_from_scratch(p):
     for d in range(1, min(_order_bound(len(p) - 1), _SCRATCH_MAX_ORDER) + 1):
         if len(p) == 1:
             break
-        if _totient(d) >= len(p):
+        if sum(k * mu for k, mu in _binomials(d)) >= len(p):   # phi(d)
             continue
         while _phi_divides(terms, d):
             p = _div_monic(p, _cyclotomic(d))
             terms = [(j, v) for j, v in enumerate(p) if v]
             split[d] = split.get(d, 0) + 1
-    return split if len(p) == 1 else None
+    return tuple(split.items()) if len(p) == 1 else None
 
 
 def _full_reduce(num, den):
-    num, den = _light_normalize(num, den)
-    if not num or (len(den) == 1 and _DKEY0 in den):
-        return num, den
-    if all(k[1] == 0 and k[2] == 0 for k in den):
-        # s-only denominators are fully reduced by _light_normalize
-        return num, den
+    """Cancel the gcd of num and a denominator in m or k, via sympy;
+    returns (num, den, split)."""
     # Cancel the common real polynomial factor.  Components of num by
     # (e_i, e_r) are real polynomials; a real factor divides num iff it
     # divides every component.
+    shift = min(0, min(key[0] for key in num))
     comps = {}
     for (es, em, ek, ei, er), v in num.items():
-        comps.setdefault((ei, er), {})[(es, em, ek)] = v
-    shift = min(min(key[0] for key in comp) for comp in comps.values())
-    shift = min(shift, 0)
-    polys = [den] + [
-        {(es - shift, em, ek): v for (es, em, ek), v in comp.items()}
-        for comp in comps.values()
-    ]
-    g = _real_gcd(polys)
+        comps.setdefault((ei, er), {})[(es - shift, em, ek)] = v
+    g = _real_gcd([den, *comps.values()])
     if g is not None and g != {_DKEY0: 1}:
         den = _exact_div_real(den, g)
-        new_num = {}
-        for (ei, er), comp in comps.items():
-            compq = _exact_div_real(
-                {(es - shift, em, ek): v for (es, em, ek), v in comp.items()}, g)
-            for (es, em, ek), v in compq.items():
-                new_num[(es + shift, em, ek, ei, er)] = v
-        num = new_num
+        num = {(es + shift, em, ek, ei, er): v
+               for (ei, er), comp in comps.items()
+               for (es, em, ek), v in _exact_div_real(comp, g).items()}
     return _light_normalize(num, den)
 
 
@@ -936,7 +923,7 @@ def rational(p, qd=1):
     if f == 0:
         return ZERO
     return Scalar({_NKEY0: f.numerator}, {_DKEY0: f.denominator},
-                  _normalize=False)
+                  _normalize=False, split=())
 
 
 def s_power(n):
@@ -1007,10 +994,11 @@ def qfactorial_std(n):
         _QFACT[n] = out
         if n:
             # register the split of [[n]]! = [[n-1]]! [[n]], which its
-            # inverse will need, from those of its factors
-            _den_split(_num_real_part(out.num),
-                       (_num_real_part(qfactorial_std(n - 1).num),
-                        _num_real_part(qnum_std(n).num)))
+            # inverse will need; [[n]] is prod Phi_d over d | 4n, d not | 4
+            _SPLITS[_prim_key(_num_real_part(out.num))] = _add_splits(
+                _den_split(_num_real_part(qfactorial_std(n - 1).num)),
+                tuple((d, 1) for d in range(3, 4 * n + 1)
+                      if 4 * n % d == 0 and d != 4))
     return out
 
 

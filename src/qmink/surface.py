@@ -3,10 +3,11 @@
 Surface syntax: rational literals, scalar symbols q, i, r, m, k, the
 generators x0 xm xp x3 x30 xsq xip xim (with xi+/xi-/x+/x- accepted as
 written by the canonical printer, and a few Unicode aliases), operators
-+ - * ^ and parentheses.  * is noncommutative and left associative;
-precedence ^ > * > +/-.  Division appears only inside scalar
-subexpressions; generator exponents must be non-negative integers.
-Fractional exponents (halves) are allowed on q only.
++ - * / ^ and parentheses.  * is noncommutative and left associative;
+precedence ^ > * / > +/-.  Only a nonzero scalar divides: an element divided
+by one is scaled by its inverse.  Generator exponents must be non-negative
+integers.  Fractional exponents (halves) are allowed on q only, inside
+parentheses: q^(3/2), while q^3/2 is (q^3)/2.
 
 `parse_element`, `parse_scalar` and `element_from_json` first try a reader
 of the printer's own grammar, and nothing else:
@@ -230,7 +231,7 @@ class _Parser:
         num = int(tok[1])
         den = 1
         kind, val, _ = self.peek()
-        if kind == "op" and val == "/":
+        if paren and kind == "op" and val == "/":
             self.next()
             tok = self.next()
             if tok[0] != "num":
@@ -313,10 +314,12 @@ def _eval(node):
         return acc
     if isinstance(node, Div):
         num, den = _eval(node.num), _eval(node.den)
-        if isinstance(den, Element) or isinstance(num, Element):
+        if isinstance(den, Element) or (isinstance(num, Element) and not den):
             raise ParseError("division is only defined between scalars")
         if den.is_zero():
             raise ParseError("division by zero")
+        if isinstance(num, Element):
+            return num.scale(den.inverse())
         return num / den
     if isinstance(node, Pow):
         base = _eval(node.base)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -75,6 +76,22 @@ def test_deep_nesting_exits_2_without_traceback(text):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "nesting deeper than" in proc.stderr
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the JSON is about 250 kB, far more than a pipe holds, so the writes
+    # after the reader closes its end fail
+    src = os.path.dirname(os.path.dirname(qmink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qmink.cli", "solve",
+                             "massive", "--degree", "20", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(10) == b'{"kind": "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_nesting_at_the_bound_normalizes(capsys):
@@ -227,3 +244,28 @@ def test_verify_json_records_and_timings(capsys):
     assert data["ok"] and set(data["seconds"]) == {"structure"}
     assert all(set(r) == {"name", "ok", "degrees_checked", "first_failure"}
                for r in data["results"])
+
+
+# sha256 of the printed output.  A change that alters printed output on
+# purpose updates the digest and says why.
+@pytest.mark.parametrize("argv, digest", [
+    (["solve", "massive", "--degree", "8", "--verify", "--json"],
+     "26cb2aa12e78d728d0f56178bbf5306b448dc600bb7dde45700afd242e62a1dc"),
+    (["solve", "massless", "--param", "2/3", "--degree", "12", "--verify",
+      "--json"],
+     "c26a04b949626d38c7ccd9806546c93c1a3211c7237cbcfd1ac0aeb2da2b7eac"),
+    (["lpow", "x30", "5", "--json"],
+     "815a76396d4299abfb526b92023fab3bf3d17ca610dd6f3f7edfc4f316316174"),
+    (["derive", "x0^2*xm*xp + m/(q+1)*x3^2", "--json"],
+     "a5c5365bdabb260b91b80abef2abdcae681d0abf3a69b3d19f9918b587115430"),
+    (["normalize", "m/(q+1)*(x0+xm+xp)^5 + i*r*x3"],
+     "293586f13574efa00a73ee2415851205bf19726ab15a918958b03ddcad8912cc"),
+    # denominators in m and k, reduced through sympy
+    (["normalize", "(m+q)/(m*q+q^2)*x0 + 1/(m*(q+1))*xm"
+      " + ((k+1)^2)/(k^2+2*k+1)*xp"],
+     "d1f2eaa24f9a148d41c69e09feda47079b11c54ffd8ea45034968d2f104681c3"),
+], ids=["massive", "massless", "lpow", "derive", "normalize", "normalize-mk"])
+def test_printed_output_is_unchanged(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

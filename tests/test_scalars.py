@@ -173,9 +173,11 @@ def test_scalar_arithmetic_matches_point_evaluation(ops, seed):
                 continue
             cur = cur.inverse()
             mirror = _quad_inv(mirror)
+            _assert_split(cur)
             continue
         other = atom()
         om = _eval_scalar(other)
+        _assert_split(other)
         if op == "+":
             cur, mirror = cur + other, tuple(a + b
                                              for a, b in zip(mirror, om))
@@ -185,11 +187,13 @@ def test_scalar_arithmetic_matches_point_evaluation(ops, seed):
         else:
             cur, mirror = cur * other, _quad_mul(mirror, om)
         assert _eval_scalar(cur) == mirror
+        _assert_split(cur)
     # canonical form preserves the value and is idempotent
     can = cur.canonical()
     assert _eval_scalar(can) == mirror
     can2 = can.canonical()
     assert can2.num == can.num and can2.den == can.den
+    _assert_split(can)
 
 
 # -- cyclotomic splits against the primitive-PRS reference ---------------------
@@ -201,9 +205,10 @@ def _den_of(x):
     return {(key[0] - lo, 0, 0): v for key, v in x.num.items()}
 
 
-def _assert_matches_prs(num, den, factors=()):
-    got = sc._reduce_s_only(num, den, factors)
-    assert got == sc._reduce_prs(num, den)
+def _assert_matches_prs(num, den):
+    got = sc._reduce_s_only(num, den, sc._den_split(den))
+    assert got[:2] == sc._reduce_prs(num, den)
+    assert got[2] == _split_from_scratch(got[1])
     return got
 
 
@@ -222,9 +227,6 @@ def test_split_reduction_matches_prs_on_engine_denominators(content, n, a, b):
     assert sc._den_split(den)          # all cyclotomic: the split path runs
     got = _assert_matches_prs(x.num, den)
     assert max(got[1]) < max(den)      # something cancelled
-    # the same with the denominator's factors passed along
-    factor_dens = tuple(_den_of(f) for f in facs)
-    assert sc._reduce_s_only(x.num, den, factor_dens) == got
 
 
 def test_split_reduction_shares_factor_with_multiplicity():
@@ -232,7 +234,7 @@ def test_split_reduction_shares_factor_with_multiplicity():
     den = _den_of(_TWO ** 3 * sc.qnum_std(6) * sc.integer(5))
     x = (_TWO ** 2 * (sc.integer(2) + _Q)
          + sc.K * _TWO ** 2 * sc.qnum_std(6) * (_Q - sc.integer(1)))
-    num, new_den = _assert_matches_prs(x.num, den)
+    num, new_den, _ = _assert_matches_prs(x.num, den)
     assert sc.Scalar(num, new_den) == sc.Scalar(x.num, den)
     assert max(new_den)[0] == max(den)[0] - 8     # Phi_8^2 cancelled
 
@@ -240,7 +242,7 @@ def test_split_reduction_shares_factor_with_multiplicity():
 def test_split_reduction_returns_at_once_on_a_monomial_slice():
     den = _den_of(_LAM * _TWO * sc.qfactorial_std(3))
     x = _LAM * sc.M + sc.s_power(3) * sc.integer(4)    # slice m^0 = 4 s^3
-    num, new_den = _assert_matches_prs(x.num, den)
+    num, new_den, _ = _assert_matches_prs(x.num, den)
     assert num is x.num and new_den is den
 
 
@@ -249,7 +251,7 @@ def test_non_cyclotomic_denominator_falls_back_to_prs():
     den = _den_of(odd * sc.qnum_std(3))
     assert sc._split_from_scratch(sc._dense(den)) is None
     x = odd * (sc.integer(2) + sc.M * _Q)
-    num, new_den = _assert_matches_prs(x.num, den)
+    num, new_den, _ = _assert_matches_prs(x.num, den)
     assert new_den == _den_of(sc.qnum_std(3))
     assert sc._den_split(den) is None
 
@@ -258,13 +260,22 @@ def _split_from_scratch(den):
     return sc._split_from_scratch(sc._dense(dict(sc._prim_key(den))))
 
 
+def _assert_split(x):
+    """x carries the split of its denominator from scratch: () for a
+    constant, None for one in m or k or one that does not split."""
+    if any(key[1] or key[2] for key in x.den):
+        assert x.split is None
+    else:
+        assert x.split == _split_from_scratch(x.den)
+
+
 def test_seeded_split_equals_split_from_scratch():
     a = (sc.integer(3) * sc.qfactorial_std(5) * _TWO ** 2).inverse()
     b = (sc.integer(2) * _LAM ** 3 * sc.qnum_std(6)).inverse()
     for x in (a * b, a + b, (a * b) * (a + b)):
         seeded = sc._den_split(x.den)
         assert seeded
-        assert seeded == _split_from_scratch(x.den)
+        assert seeded == _split_from_scratch(x.den) == x.split
     for n in range(1, 10):
         fact = sc._num_real_part(sc.qfactorial_std(n).num)
         assert sc._den_split(fact) == _split_from_scratch(fact)
@@ -284,11 +295,34 @@ def test_phi_divides_matches_exact_division():
                 assert sc._phi_divides(terms, d) == (g == phi), (d, p)
 
 
+def test_cyclotomic_products_from_binomials():
+    rng = random.Random(11)
+    for n in range(1, 130):
+        # s^n - 1 is the product of the Phi_d over d | n, which fixes each
+        # Phi_n given the smaller ones
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = sc._mul_zs(prod, sc._cyclotomic(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+        # phi(n), the degree of Phi_n
+        assert sum(k * mu for k, mu in sc._binomials(n)) == \
+            len(sc._cyclotomic(n)) - 1
+    for _ in range(20):
+        split = sorted(rng.sample(range(1, 60), 4))
+        split = tuple((d, rng.randint(1, 3)) for d in split)
+        want = [1]
+        for d, e in split:
+            for _ in range(e):
+                want = sc._mul_zs(want, sc._cyclotomic(d))
+        assert sc._phi_product(split) == want
+
+
 def test_split_from_scratch_stops_at_its_largest_order():
     top = sc._SCRATCH_MAX_ORDER
     # [[top/4]] has Phi_top as its largest factor
     qn = sc._dense(sc._num_real_part(sc.qnum_std(top // 4).num))
-    assert max(sc._split_from_scratch(qn)) == top
+    assert max(sc._split_from_scratch(qn))[0] == top
     # 1 + s^1000 needs Phi_2000: no split, and the PRS reduces it
     big = [1] + [0] * 999 + [1]
     assert sc._split_from_scratch(big) is None
@@ -296,9 +330,33 @@ def test_split_from_scratch_stops_at_its_largest_order():
     # Phi_16 = 1 + s^8 divides every slice and 1 + s^1000
     num = {(0, 0, 0, 0, 0): 1, (8, 0, 0, 0, 0): 1,
            (4, 1, 0, 0, 0): 3, (12, 1, 0, 0, 0): 3}
-    got = sc._reduce_s_only(num, den)
-    assert got == sc._reduce_prs(num, den)
+    got = _assert_matches_prs(num, den)
     assert max(got[1])[0] == 992
+
+
+def test_products_and_sums_carry_the_split(monkeypatch):
+    xs = [(sc.integer(3) + _Q) / sc.qfactorial_std(4), _LAM / _TWO,
+          sc.I / (sc.integer(-3) * _LAM ** 3),
+          (sc.R + sc.M) / (_TWO ** 2 * sc.qnum_std(3) * sc.integer(4))]
+    calls = []
+
+    def counting(name):
+        def call(*args):
+            calls.append(name)
+        return call
+
+    monkeypatch.setattr(sc, "_den_split", counting("_den_split"))
+    monkeypatch.setattr(sc, "_split_from_scratch",
+                        counting("_split_from_scratch"))
+    acc = sc.SumOfProducts()
+    for j, x in enumerate(xs):
+        for y in xs:
+            x * y
+            x + y
+            x - y
+            acc.add(j, x, y)
+    acc.result()
+    assert calls == []
 
 
 # -- the unit fast path of Scalar.__mul__ --------------------------------------
@@ -327,7 +385,7 @@ def test_unit_products_match_light_normalize():
             want = sc._light_normalize(sc._nmul(u.num, x.num),
                                        sc._dmul(u.den, x.den))
             for got in (u * x, x * u):
-                assert (got.num, got.den) == want
+                assert (got.num, got.den, got.split) == want
 
 
 def test_unit_products_skip_the_denominator_product(monkeypatch):
@@ -393,7 +451,9 @@ def test_scalar_power_makes_no_wasted_product(monkeypatch, n):
 # with it, and against the naive sum of normalized products.
 
 _S_DENS = [sc.ONE, sc.integer(6), _TWO, _LAM, _TWO * _LAM, sc.qnum_std(3),
-           sc.qfactorial_std(4), _TWO ** 2 * sc.qnum_std(2)]
+           sc.qfactorial_std(4), _TWO ** 2 * sc.qnum_std(2),
+           sc.integer(-3) * _LAM ** 3,
+           sc.integer(4) * sc.qfactorial_std(5) * _LAM]
 _MK_DENS = [sc.M * sc.integer(6) + sc.K, sc.K + _Q * sc.integer(2)]
 
 
@@ -421,6 +481,8 @@ def _check_sum_of_products(contribs, s_only):
         mirror[key] = tuple(u + v for u, v in
                             zip(mirror.get(key, (Fraction(0),) * 4), prod))
         naive[key] = naive[key] + a * b if key in naive else a * b
+        for x in (a, b, naive[key]):
+            _assert_split(x)
     spilled = bool(acc._sums)
     got = acc.result()
     assert set(got) <= set(mirror)
@@ -429,6 +491,7 @@ def _check_sum_of_products(contribs, s_only):
             assert not any(want) and naive[key].is_zero()
             continue
         assert _eval_scalar(got[key]) == want
+        _assert_split(got[key])
         if s_only:
             assert (got[key].num, got[key].den) == \
                 (naive[key].num, naive[key].den)

@@ -32,10 +32,34 @@ def test_negative_generator_exponent_rejected():
 def test_division_only_for_scalars():
     assert sf.parse_scalar("(q + q^-1)") == sc.two_q()
     assert sf.parse_scalar("1/2") == sc.rational(1, 2)
-    with pytest.raises(sf.ParseError):
-        sf.parse_element("x0/2")
+    assert sf.parse_element("x0/2") == sf.parse_element("x0").scale(
+        sc.rational(1, 2))
     with pytest.raises(sf.ParseError):
         sf.parse_element("2/x0")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("q^2/2", "((q^2)/(2))"), ("q^1/2", "((q)/(2))"),
+    ("m^2/k", "((m^2)/(k))"), ("q^2/(q+1)", "((q^2)/(q + 1))"),
+    ("(q+1)^2/(q^2+2*q+1)", "(1)"), ("q^(1/2)", "(q^(1/2))"),
+    ("q^(-3/2)", "(q^(-3/2))"), ("x0/2", "((1)/(2)) * xi+ + ((1)/(2)) * xi-"),
+    ("(x0+xm+xp)^5*m/(q+1)", None),
+])
+def test_division_after_a_power_and_of_an_element(text, want):
+    if want is None:
+        want = sf.element_to_str(sf.parse_element("m/(q+1)*(x0+xm+xp)^5"))
+    assert sf.element_to_str(sf.parse_element(text)) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2/x0", "division is only defined between scalars"),
+    ("x0/x0", "division is only defined between scalars"),
+    ("x0/0", "division is only defined between scalars"),
+    ("q^(1/0)", "zero exponent denominator"),
+])
+def test_division_errors(text, message):
+    with pytest.raises(sf.ParseError, match=message):
+        sf.parse_element(text)
 
 
 def test_half_exponents_on_q_only():
@@ -251,6 +275,9 @@ def test_printed_text_and_json_read_back_without_the_parser(monkeypatch):
     "(1) * x+ +", "(1) * x+ junk", "(1))", "(1) * x+ + ", "(q)\n",
     "(1) x+", "(1) *x+", " (1)", "(1) + 0", "(1", "((1)/(2)", "", "0",
     "(0)", "((1)/(2))/(3)", "(q) * x+^", "(9" + "9" * 5000 + ")",
+    # division after an unparenthesized exponent, and of an element
+    "q^2/2", "q^1/2", "m^2/k", "q^2/(q+1)", "(q+1)^2/(q^2+2*q+1)",
+    "(x0+xm+xp)^5*m/(q+1)", "x0/2", "2/x0", "x0/x0", "x0/0",
 ])
 def test_reader_keeps_the_parser_limits(text):
     for read, general in ((sf.parse_element, _general),
