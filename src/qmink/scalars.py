@@ -25,6 +25,17 @@ its factors', and a reduction finds the gcd by exact trial division by each
 Phi_d and subtracts what it cancels.  A denominator that does not split
 falls back to a primitive-PRS gcd, and those involving m or k to sympy's.
 
+A split denominator is its constant term c times the product of its
+Phi_d^e_d, that product taken with constant term 1: den = c *
+_split_den(1, split).  So two fractions over split denominators c1 P1 and
+c2 P2 are added over their lcm, lcm(c1, c2) times the product of the
+elementwise maximum of the splits.  Each numerator is multiplied by its
+cofactor, read from the splits, and the reduction that follows divides
+the lcm, not the product of both denominators.  A product's denominator
+is read the same way, from c1 c2 and the summed split.  Only a sum with
+a constant or unsplit operand denominator, and a product with an unsplit
+one, still multiplies denominators term by term.
+
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
 out only the integer content: s and i are units, so the product shares no
@@ -198,12 +209,24 @@ class Scalar:
         if self.den == other.den:
             return Scalar(_nadd(self.num, other.num), dict(self.den),
                           split=self.split)
-        n = _nadd(_nmul(self.num, _den_as_num(other.den)),
-                  _nmul(other.num, _den_as_num(self.den)))
+        s1, s2 = self.split, other.split
+        if s1 and s2:
+            # over the lcm: constant terms c1, c2, split the elementwise max
+            c1, c2 = self.den[_DKEY0], other.den[_DKEY0]
+            g = gcd(c1, c2)
+            split = _max_splits(s1, s2)
+            n = _nadd(_nmul(self.num, _den_as_num(
+                          _split_den(c2 // g, _div_splits(split, s1)))),
+                      _nmul(other.num, _den_as_num(
+                          _split_den(c1 // g, _div_splits(split, s2)))))
+            den = _split_den(c1 // g * c2, split)
+        else:
+            n = _nadd(_nmul(self.num, _den_as_num(other.den)),
+                      _nmul(other.num, _den_as_num(self.den)))
+            den, split = _dmul(self.den, other.den), _add_splits(s1, s2)
         if not n:
             return ZERO
-        return Scalar(n, _dmul(self.den, other.den),
-                      split=_add_splits(self.split, other.split))
+        return Scalar(n, den, split=split)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -232,8 +255,10 @@ class Scalar:
                 num = {key: v // c for key, v in num.items()}
                 den = {key: v // c for key, v in den.items()}
             return Scalar(num, den, _normalize=False, split=split)
-        return Scalar(_nmul(self.num, other.num), _dmul(d1, d2),
-                      split=_add_splits(self.split, other.split))
+        split = _add_splits(self.split, other.split)
+        den = _dmul(d1, d2) if split is None else \
+            _split_den(d1[_DKEY0] * d2[_DKEY0], split)
+        return Scalar(_nmul(self.num, other.num), den, split=split)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -786,6 +811,21 @@ def _add_splits(a, b):
     for d, e in b:
         out[d] = out.get(d, 0) + e
     return tuple(sorted(out.items()))
+
+
+def _max_splits(a, b):
+    """The split of the lcm of denominators with splits a and b."""
+    out = dict(a)
+    for d, e in b:
+        if e > out.get(d, 0):
+            out[d] = e
+    return tuple(sorted(out.items()))
+
+
+def _div_splits(a, b):
+    """The split a / b, for b dividing a."""
+    sub = dict(b)
+    return tuple((d, e - sub.get(d, 0)) for d, e in a if e > sub.get(d, 0))
 
 
 def _split_den(c, split):

@@ -314,7 +314,7 @@ def _eval(node):
         return acc
     if isinstance(node, Div):
         num, den = _eval(node.num), _eval(node.den)
-        if isinstance(den, Element) or (isinstance(num, Element) and not den):
+        if isinstance(den, Element):
             raise ParseError("division is only defined between scalars")
         if den.is_zero():
             raise ParseError("division by zero")

@@ -264,7 +264,13 @@ def test_verify_json_records_and_timings(capsys):
     (["normalize", "(m+q)/(m*q+q^2)*x0 + 1/(m*(q+1))*xm"
       " + ((k+1)^2)/(k^2+2*k+1)*xp"],
      "d1f2eaa24f9a148d41c69e09feda47079b11c54ffd8ea45034968d2f104681c3"),
-], ids=["massive", "massless", "lpow", "derive", "normalize", "normalize-mk"])
+    # deep sums of q-factorial denominators, added over their lcm
+    (["solve", "massless", "--degree", "16", "--verify"],
+     "c8e069aa3356c37747914fe3e9ec16b30b8f41542fb9daf0f7be969ea8c2489d"),
+    (["solve", "massive", "--degree", "12", "--verify", "--json"],
+     "456bc69e02d02f9e7a3433286d4e3f7774f5b2509e3bac376e7efd91430017ea"),
+], ids=["massive", "massless", "lpow", "derive", "normalize", "normalize-mk",
+        "massless-16", "massive-12"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

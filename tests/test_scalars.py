@@ -262,11 +262,14 @@ def _split_from_scratch(den):
 
 def _assert_split(x):
     """x carries the split of its denominator from scratch: () for a
-    constant, None for one in m or k or one that does not split."""
+    constant, None for one in m or k or one that does not split.  A split
+    denominator is its constant term times the split's product."""
     if any(key[1] or key[2] for key in x.den):
         assert x.split is None
     else:
         assert x.split == _split_from_scratch(x.den)
+    if x.split is not None:
+        assert x.den == sc._split_den(x.den[(0, 0, 0)], x.split)
 
 
 def test_seeded_split_equals_split_from_scratch():
@@ -345,9 +348,10 @@ def test_products_and_sums_carry_the_split(monkeypatch):
             calls.append(name)
         return call
 
-    monkeypatch.setattr(sc, "_den_split", counting("_den_split"))
-    monkeypatch.setattr(sc, "_split_from_scratch",
-                        counting("_split_from_scratch"))
+    # a sum or product of split Scalars never forms a dense product of
+    # denominators nor splits one: it works on the splits
+    for name in ("_dmul", "_den_split", "_split_from_scratch"):
+        monkeypatch.setattr(sc, name, counting(name))
     acc = sc.SumOfProducts()
     for j, x in enumerate(xs):
         for y in xs:
@@ -522,3 +526,69 @@ def test_sum_of_products_reduces_a_group_past_the_bound():
     contribs = [(0, chunk(j), _TWO.inverse()) for j in range(n)]
     contribs += [(1, chunk(0), _Q), (0, -chunk(0), _TWO.inverse())]
     assert _check_sum_of_products(contribs, s_only=True)
+
+
+# -- sums over the lcm of two splits --------------------------------------------
+#
+# Two Scalars over split denominators are summed over the lcm of their
+# denominators.  Each sum is checked against the point-evaluation mirror and
+# against the cross-multiplied sum, which reduces to the same representative.
+
+def _over(den):
+    return st.builds(
+        lambda n, d, es, em, ei, er: sc.rational(n, d) * sc.s_power(es)
+        * sc.M ** em * sc.I ** ei * sc.R ** er / den,
+        st.integers(-6, 6).filter(bool), st.integers(1, 4),
+        st.integers(-4, 4), st.integers(0, 1), st.integers(0, 1),
+        st.integers(0, 1))
+
+
+def _splits_of(den):
+    return {d for d, _ in den.inverse().split}
+
+
+def _cross_sum(a, b):
+    n = sc._nadd(sc._nmul(a.num, sc._den_as_num(b.den)),
+                 sc._nmul(b.num, sc._den_as_num(a.den)))
+    if not n:
+        return sc.ZERO
+    return sc.Scalar(n, sc._dmul(a.den, b.den),
+                     split=sc._add_splits(a.split, b.split))
+
+
+@st.composite
+def _lcm_terms(draw):
+    """Terms whose denominators are disjoint, nested or equal (up to
+    content), or terms and their negatives, whose sum is zero."""
+    kind = draw(st.sampled_from(["disjoint", "nested", "equal", "zero"]))
+    da = draw(st.sampled_from(_S_DENS))
+    if kind == "disjoint":
+        db = draw(st.sampled_from(
+            [d for d in _S_DENS if not _splits_of(d) & _splits_of(da)]))
+    elif kind == "nested":
+        db = da * draw(st.sampled_from(_S_DENS))
+    else:
+        db = da * sc.integer(draw(st.sampled_from([1, 2, 3, -4, 12])))
+    terms = [draw(_over(da)), draw(_over(db))]
+    if kind == "zero":
+        terms += [draw(_over(draw(st.sampled_from(_S_DENS))))]
+        terms += [-t for t in terms]
+        terms = draw(st.permutations(terms))
+    return kind, terms
+
+
+@given(_lcm_terms())
+@settings(max_examples=80, deadline=None)
+def test_lcm_sums_match_point_evaluation(case):
+    kind, terms = case
+    acc, mirror = terms[0], _eval_scalar(terms[0])
+    for t in terms[1:]:
+        want = _cross_sum(acc, t)
+        acc = acc + t
+        mirror = tuple(u + v for u, v in zip(mirror, _eval_scalar(t)))
+        assert _eval_scalar(acc) == mirror
+        assert (acc.num, acc.den, acc.split) == \
+            (want.num, want.den, want.split)
+        _assert_split(acc)
+    if kind == "zero":
+        assert acc.is_zero()
