@@ -540,26 +540,26 @@ def _pbw_tail_gen(nm, np, n3, gen):
     raise KeyError(gen)
 
 
+def _xsq_pbw():
+    """x^2 = x0^2 + [2] x- x+ - q^2 x3^2 + q lam x0 x3 in the PBW basis."""
+    return {(2, 0, 0, 0, 0): ONE, (0, 0, 1, 1, 0): sc.two_q(),
+            (0, 0, 0, 0, 2): -_Q2,
+            (1, 0, 0, 0, 1): sc.q_power(1) * sc.lambda_()}
+
+
 def _alpha_sq_pbw():
     """alpha^2 = (x0)^2 - (4/[2]^2) x^2 in the PBW basis."""
-    two = sc.two_q()
-    f = (sc.integer(4) * (two ** 2).inverse())
-    # x^2 = x0^2 + [2] x- x+ - q^2 x3^2 + q lam x0 x3
-    terms = {
-        (2, 0, 0, 0, 0): ONE - f,
-        (0, 0, 1, 1, 0): -f * two,
-        (0, 0, 0, 0, 2): f * _Q2,
-        (1, 0, 0, 0, 1): -f * sc.q_power(1) * sc.lambda_(),
-    }
-    return {key: c for key, c in terms.items() if not c.is_zero()}
+    f = sc.integer(4) * (sc.two_q() ** 2).inverse()
+    terms = {key: -f * c for key, c in _xsq_pbw().items()}
+    terms[(2, 0, 0, 0, 0)] = ONE - f
+    return terms
 
 
-_ALPHA_SQ = None
+_ALPHA_SQ = _alpha_sq_pbw()
 
 
 def _pbw_mul_mono(terms, mono, coeff):
     """Right-multiply PBW dict by a PBW monomial (n0, na, nm, np, n3)."""
-    global _ALPHA_SQ
     n0, na, nm, np_, n3 = mono
     cur = {}
     for (a0, aa, am, ap, a3), c in terms.items():
@@ -570,8 +570,6 @@ def _pbw_mul_mono(terms, mono, coeff):
             if aa == 0:
                 _acc(nxt, (a0, 1, am, ap, a3), c)
             else:
-                if _ALPHA_SQ is None:
-                    _ALPHA_SQ = _alpha_sq_pbw()
                 for mono2, c2 in _ALPHA_SQ.items():
                     for key3, c3 in _pbw_mul_mono({(a0, 0, am, ap, a3): c * c2},
                                                   mono2, ONE).items():
@@ -613,9 +611,6 @@ def _alpha_even_pow(t):
     """(alpha^2)^t as a PBW dict (5-tuple keys, alpha-free)."""
     if t == 0:
         return ((( 0, 0, 0, 0, 0), ONE),)
-    global _ALPHA_SQ
-    if _ALPHA_SQ is None:
-        _ALPHA_SQ = _alpha_sq_pbw()
     prev = dict(_alpha_even_pow(t - 1))
     return tuple(pbw_mul5(prev, _ALPHA_SQ).items())
 
@@ -646,14 +641,9 @@ def _central_pbw(a, b):
     m = min(a, b)
     base = dict(_alpha_even_pow(0))
     if m:
+        # xi+ xi- = x^2/[2]^2
         two2i = (sc.two_q() ** 2).inverse()
-        # x^2/[2]^2 = xi+ xi- in the PBW basis
-        xsq_norm = {
-            (2, 0, 0, 0, 0): two2i,
-            (0, 0, 1, 1, 0): two2i * sc.two_q(),
-            (0, 0, 0, 0, 2): -two2i * _Q2,
-            (1, 0, 0, 0, 1): two2i * sc.q_power(1) * sc.lambda_(),
-        }
+        xsq_norm = {key: c * two2i for key, c in _xsq_pbw().items()}
         for _ in range(m):
             base = pbw_mul5(base, xsq_norm)
     v = abs(a - b)

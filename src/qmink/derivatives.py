@@ -25,7 +25,8 @@ Two independent implementations are kept side by side:
   Every term shares the central denominator delta = xi+ - xi-: the
   projectors are (...)/delta.  So each component's numerator is summed
   over delta^1, from cached numerators of Pi+- nabla x0 and of
-  delta (Pi+ q^{2a} + Pi- q^{2b}), and divided by delta once, when the
+  delta (Pi+ q^{2a} + Pi- q^{2b}) (`_pi_weighted`, read from the
+  delta-free `matrices.l0_minus_b`), and divided by delta once, when the
   component's `Localized` is built.
 
 Both gradients sum, then reduce.  Each component is a
@@ -239,17 +240,14 @@ def _pi_nabla(sign):
 def _pi_weighted(a, b):
     """delta (Pi+ q^(2a) + Pi- q^(2b)) as a 4x4 tuple of Elements.
 
-    With delta Pi+- = (delta 1 +- (2/lambda)(L_{x0} - b))/2 this is
-    ((q^(2a) + q^(2b))/2) delta 1 + ((q^(2a) - q^(2b))/lambda)(L_{x0} - b),
-    built from the delta-free L_{x0}; for a = b it is q^(2a) delta 1.
+    By delta Pi+- = delta/2 +- (L_{x0} - b)/lambda it is delta-free:
+    ((q^(2a) - q^(2b))/lambda) (L_{x0} - b) + ((q^(2a) + q^(2b))/2) delta.
     """
     qa, qb = sc.q_power(2 * a), sc.q_power(2 * b)
-    off = (qa - qb) * sc.lambda_().inverse()
-    diag = al.delta_element().scale((qa + qb) * sc.rational(1, 2)) - \
-        mx.b_center().scale(off)
-    return tuple(tuple(x.scale(off) + diag if i == j else x.scale(off)
-                       for j, x in enumerate(row))
-                 for i, row in enumerate(_l_entries("x0")))
+    mean = al.delta_element().scale((qa + qb) * sc.rational(1, 2))
+    mat = mx.l0_minus_b().scale((qa - qb) * sc.lambda_().inverse()) + \
+        mx.identity(4, mean)
+    return tuple(tuple(x.try_clear() for x in row) for row in mat.entries)
 
 
 def _spatial_gradient_mono(key, coeff):

@@ -17,6 +17,12 @@ and matrices transform by conjugation with the transpose of that
 coefficient matrix.  The explicit four-vector L_{x0} produced this way
 is pinned entrywise in the tests and validated against the derivative
 calculus (characteristic identity, eigen relations, recursion).
+
+L_{x0} satisfies L^2 - [2] x0 L + c = 0 with central roots tau+-, and
+tau+ - tau- = lambda delta.  By Sylvester's formula for two eigenvalues,
+f(L_{x0}) = D_f (L_{x0} - b) + A_f (`l0_minus_b`) with the central divided
+difference D_f = (f(tau+) - f(tau-))/(tau+ - tau-) and the mean A_f =
+(f(tau+) + f(tau-))/2; so Pi+- = 1/2 +- (L_{x0} - b)/(lambda delta).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ __all__ = [
     "b_matrix", "l_matrix", "l_matrix_spinor", "basis_change_matrix",
     "mat_pow_naive", "b_pow_closed", "l_pow_closed",
     "char_check_l0", "char_check_b0", "char_residual",
-    "b_center", "c_center", "tau", "projectors", "f_of_l0",
+    "b_center", "c_center", "tau", "l0_minus_b", "projectors", "f_of_l0",
     "chebyshev_s", "pi_nabla_x0", "x_upper", "eta_upper", "eta_lower",
 ]
 
@@ -212,7 +218,7 @@ def _zero_of(x):
 
 def identity(dim, one=_LOC_ONE):
     """The unit matrix over the ring of `one`: Localized by default,
-    Scalar for identity(dim, ONE)."""
+    Scalar for identity(dim, ONE); identity(dim, x) is x times it."""
     zero = _zero_of(one)
     return Matrix([[one if i == j else zero for j in range(dim)]
                    for i in range(dim)])
@@ -371,58 +377,31 @@ def chebyshev_s(n):
     return quot.scale(sc.lambda_().inverse())
 
 
+@lru_cache(maxsize=None)
+def l0_minus_b():
+    """L_{x0} - b 1, with f(L_{x0}) = D_f (L_{x0} - b) + A_f for every f."""
+    return l_matrix("x0") - identity(4, b_center())
+
+
 def projectors():
-    """(Pi+, Pi-) as delta-localized 4x4 matrices."""
-    L = l_matrix("x0")
-    delta = al.delta_element()
-    b = b_center()
-    half = sc.rational(1, 2)
-    two_over_lambda = sc.integer(2) * sc.lambda_().inverse()
-    out = []
-    for sign in (+1, -1):
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                # (1/2) (delta 1 +- (2/lambda)(L - b)) / delta
-                core = L.entries[i][j] - Localized.of(b if i == j else al.zero())
-                num = Localized.of((delta if i == j else al.zero()) * al.one())
-                term = num + core * (two_over_lambda if sign > 0
-                                     else -two_over_lambda)
-                row.append((term * half).divide_by_delta(1))
-            rows.append(row)
-        out.append(Matrix(rows))
-    return out[0], out[1]
+    """(Pi+, Pi-) = 1/2 +- (L_{x0} - b)/(lambda delta), delta-localized."""
+    half = identity(4).scale(sc.rational(1, 2))
+    core = l0_minus_b() * Localized(al.one().scale(sc.lambda_().inverse()), 1)
+    return half + core, half - core
 
 
 def f_of_l0(coeffs):
-    """f(L_{x0}) for f(t) = sum coeffs[n] t^n, via f(tau+)Pi+ + f(tau-)Pi-.
+    """f(L_{x0}) for f(t) = sum coeffs[n] t^n, as D_f (L_{x0} - b) + A_f.
 
-    Evaluated in the delta-exact form
-        f(L) = ((f(tau+) - f(tau-))/(tau+ - tau-)) (L - b)
-             + (f(tau+) + f(tau-))/2,
-    so entries are polynomial (no residual delta denominators).
+    f(tau+) - f(tau-) is divided by delta exactly before it is used, so
+    the entries are polynomial (no residual delta denominators).
     """
-    tp, tm = tau(+1), tau(-1)
-    fp = _eval_poly(coeffs, tp)
-    fm = _eval_poly(coeffs, tm)
+    fp = _eval_poly(coeffs, tau(+1))
+    fm = _eval_poly(coeffs, tau(-1))
     diff = al.div_central(fp - fm, al.delta_element()).scale(
         sc.lambda_().inverse())
-    avg = (fp + fm).scale(sc.rational(1, 2))
-    L = l_matrix("x0")
-    b = b_center()
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            entry = (L.entries[i][j] -
-                     Localized.of(b if i == j else al.zero())) * diff
-            # diff is central, so left/right placement is immaterial
-            if i == j:
-                entry = entry + Localized.of(avg)
-            row.append(entry)
-        out.append(row)
-    return Matrix(out)
+    return l0_minus_b() * diff + \
+        identity(4, (fp + fm).scale(sc.rational(1, 2)))
 
 
 def _eval_poly(coeffs, x):

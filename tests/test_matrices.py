@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from qmink import algebra as al
+from qmink import derivatives as dv
 from qmink import matrices as mx
 from qmink import scalars as sc
 
@@ -127,6 +129,24 @@ def test_projector_identities():
     assert pp + pm == eye
     assert (pp * pm).is_zero() and (pm * pp).is_zero()
     assert pp * pp == pp and pm * pm == pm
+
+
+# sha256 of the repr of the functions of L_x0 read from l0_minus_b, pinned
+# from their earlier entry-by-entry construction.  The closed-gradient
+# weights and the projectors share that matrix, so comparing them with each
+# other no longer checks two independent constructions.
+@pytest.mark.parametrize("build, digest", [
+    (lambda: mx.projectors()[0],
+     "59dd79440ebe11edf43e0297d0339ad897e8f9deb44efc559337db669ada16d9"),
+    (lambda: mx.projectors()[1],
+     "93736242e0e4927e28f9ecf7232f102db7def2de72ad3c3e13ad12433b298b68"),
+    (lambda: mx.f_of_l0([sc.integer(c) for c in (2, -1, 3, 1)]),
+     "dd86845b309e58d247e9ddcf365e23d04c56ccdc1284f77594ad47dd6fd019de"),
+    (lambda: [dv._pi_weighted(a, b) for a in range(4) for b in range(4)],
+     "8e408b8d6bdc39b5170d6c85e898e7e9b6a1999bc8a2eb3097d2397fefc74a95"),
+], ids=["pi-plus", "pi-minus", "f-of-l0", "pi-weighted"])
+def test_functions_of_l0_are_unchanged(build, digest):
+    assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
 
 
 def test_tau():
