@@ -24,10 +24,21 @@ A second engine normal orders in the Poincare-Birkhoff-Witt basis
 x0^n0 x-^n1 x+^n2 x3^n3, extended by the central square root alpha with
 alpha^2 = (x0)^2 - (4/[2]^2) x^2; it backs the conversion `to_pbw_x` and
 serves as an independent multiplication oracle.
+
+Normal ordering and `to_pbw_x` sum, then reduce: each output coefficient
+is a sum of several coefficient products, and a `scalars.SumOfProducts`
+reduces it once instead of once per product.  `_mul` keeps one reduced
+product per term pair, summed with `_acc`, in two cases.  When a factor
+has a single term, no two products share a key, so there is nothing to
+save.  When a coefficient has an unsplit (m, k) denominator, the
+accumulator forms those products one by one anyway, and summing them in
+its order leaves larger unreduced fractions: normalizing and printing
+(x0/(m+k) + xm + xp)^5 took 1.3-1.6 s that way instead of 0.7-0.8 s.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
@@ -264,6 +275,11 @@ def _tail_mul(c, d, e, c2, d2, e2):
 def _mul(f, g):
     if not f.terms or not g.terms:
         return zero()
+    if len(f.terms) > 1 and len(g.terms) > 1 and _all_split(f) \
+            and _all_split(g):
+        acc = sc.SumOfProducts()
+        mul_into(acc, f, g)
+        return Element(acc.result(), _copy=False)
     acc = {}
     for (a2, b2, c2, d2, e2), coeff in g.terms.items():
         for (a, b, c, d, e), v in f.terms.items():
@@ -272,6 +288,11 @@ def _mul(f, g):
                 _acc(acc, (a + a2 + da, b + b2 + db, c3, d3, e3),
                      vc if t is ONE else vc * t)
     return Element(acc, _copy=False)
+
+
+def _all_split(f):
+    """True when no coefficient of f has an unsplit (m, k) denominator."""
+    return all(c.split is not None for c in f.terms.values())
 
 
 def mul_into(acc, f, g):
@@ -672,22 +693,24 @@ def to_pbw_x(f):
     """Expand a delta-free Element in the PBW basis (n0, n-, n+, n3).
 
     The central prefixes xi+^a xi-^b of all terms sharing a tail
-    x+^c x30^d x-^e are summed in PBW form first, so `pbw_mul` runs once
-    per distinct tail (exact by bilinearity).
+    x+^c x30^d x-^e are summed in PBW form first, in one `SumOfProducts`
+    per tail, so `pbw_mul` runs once per distinct tail (exact by
+    bilinearity).
 
     Raises NotInAlgebraError when f is not a polynomial in the coordinates
     (a residual odd power of alpha survives).
     """
     if isinstance(f, Localized):
         f = f.try_clear()
-    centrals = {}
+    centrals = defaultdict(sc.SumOfProducts)
     for (a, b, c, d, e), coeff in f.terms.items():
-        central = centrals.setdefault((c, d, e), {})
+        central = centrals[(c, d, e)]
         for key, v in _central_pbw(a, b):
-            _acc(central, key, v * coeff)
+            central.add(key, v, coeff)
     acc = {}
     for (c, d, e), central in centrals.items():
-        for key, v in _pbw5(pbw_mul(central, _pbw_tail(c, d, e))).items():
+        for key, v in _pbw5(pbw_mul(central.result(),
+                                    _pbw_tail(c, d, e))).items():
             _acc(acc, key, v)
     bad = {key: v for key, v in acc.items() if key[1]}
     if bad:

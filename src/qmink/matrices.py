@@ -450,8 +450,7 @@ def _cayley_pow(mat, n):
     sn = chebyshev_s(n)
     snm1 = chebyshev_s(n - 1)
     c = c_center()
-    eye = identity(mat.dim)
-    return mat * Localized.of(sn) - eye * Localized.of(c * snm1)
+    return mat * Localized.of(sn) - identity(mat.dim, Localized.of(c * snm1))
 
 
 def l_pow_closed(alpha, n):
@@ -494,9 +493,8 @@ def l_pow_closed(alpha, n):
 def char_residual(mat):
     """M^2 - [2] x0 M + ((x0)^2 + lambda^2/[2]^2 x^2) 1."""
     two = sc.two_q()
-    eye = identity(mat.dim)
     return (mat * mat) - (mat * Localized.of(al.x0_element().scale(two))) + \
-        eye * Localized.of(c_center())
+        identity(mat.dim, Localized.of(c_center()))
 
 
 def char_check_l0():

@@ -46,6 +46,9 @@ reduces once instead of once per product and per partial sum: numerators
 are multiplied into one group per product split, and each group is
 reduced when the sum is built.  A group whose numerator passes
 `_GROUP_MAX_TERMS` terms is reduced at once and started again empty.
+It builds both gradients, every `Matrix` product, the product of two
+multi-term Elements, the central stage of the PBW conversion and the
+alpha expansion of a central Element.
 """
 
 from __future__ import annotations

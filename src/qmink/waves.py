@@ -188,14 +188,17 @@ def central_alpha_expansion(el):
     alpha^2, so parity of the square root is visible."""
     from math import comb
     half = sc.rational(1, 2)
-    out = {}
+    acc = sc.SumOfProducts()
     for (a, b, c, d, e), coeff in el.terms.items():
         if c or d or e:
             raise ValueError("alpha expansion applies to central elements")
-        base = coeff * half ** (a + b)
+        # the integer coefficient of x0^j alpha^(a+b-j), summed over u+v = j
+        ints = [0] * (a + b + 1)
         for u in range(a + 1):
             for v in range(b + 1):
-                sign = (-1) ** (b - v)
-                al._acc(out, (u + v, (a - u) + (b - v)),
-                        base * sc.integer(comb(a, u) * comb(b, v) * sign))
-    return out
+                ints[u + v] += comb(a, u) * comb(b, v) * (-1) ** (b - v)
+        base = coeff * half ** (a + b)
+        for j, n in enumerate(ints):
+            if n:
+                acc.add((j, a + b - j), base, sc.integer(n))
+    return acc.result()

@@ -400,6 +400,76 @@ def test_power_makes_no_wasted_product(monkeypatch, n):
     assert x ** 0 == al.one()
 
 
+# -- products of multi-term Elements sum, then reduce -------------------------
+
+def _count_reductions(monkeypatch, fn):
+    """The number of `_reduce_s_only` calls made by fn()."""
+    calls = []
+    reduce_s_only = sc._reduce_s_only
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_s_only(*args)
+
+    monkeypatch.setattr(sc, "_reduce_s_only", counting)
+    fn()
+    monkeypatch.setattr(sc, "_reduce_s_only", reduce_s_only)
+    return len(calls)
+
+
+def test_products_reduce_each_output_coefficient_once(monkeypatch):
+    f = (x0 + xm + xp + x3) ** 3
+    g = (x0.scale(sc.q_power(1)) + xm - xp.scale(sc.integer(2)) + x3) ** 2
+    fg = f * g
+    al.to_pbw_x(fg)   # warm the tail tables and the PBW caches
+    # with one reduction per product (warm caches): 458 and 1,355 calls;
+    # with one per output coefficient: 94 and 551
+    assert _count_reductions(monkeypatch, lambda: f * g) < 250
+    assert _count_reductions(monkeypatch, lambda: al.to_pbw_x(fg)) < 900
+
+
+class _CountingSum(sc.SumOfProducts):
+    made = 0
+
+    def __init__(self):
+        super().__init__()
+        _CountingSum.made += 1
+
+
+def _with_coeffs(f, coeffs):
+    return al.Element({key: c * coeffs[j % len(coeffs)]
+                       for j, (key, c) in enumerate(f.terms.items())})
+
+
+def test_summed_product_matches_the_term_by_term_product(monkeypatch):
+    # coefficients with m, k, i and r over split denominators; the reference
+    # multiplies one term of f at a time, which never enters SumOfProducts
+    coeffs = [sc.M * sc.I / sc.two_q(), sc.K * sc.R / sc.lambda_(),
+              (sc.M + sc.K) * sc.qnum_std(3).inverse(), sc.I * sc.R,
+              sc.M * sc.K * sc.q_power(-3)]
+    f = _with_coeffs((x0 + xm + xp + x3) ** 3, coeffs)
+    g = _with_coeffs((x0 + xm - x3) ** 2, coeffs[::-1])
+    monkeypatch.setattr(sc, "SumOfProducts", _CountingSum)
+    _CountingSum.made = 0
+    want = al.add_all(al.Element({key: c}) * g for key, c in f.terms.items())
+    assert _CountingSum.made == 0
+    got = f * g
+    assert _CountingSum.made == 1
+    assert got == want and got.terms.keys() == want.terms.keys()
+
+
+def test_unsplit_coefficients_keep_the_direct_product(monkeypatch):
+    mk = sc.M * (sc.M + sc.K).inverse()
+    assert mk.split is None
+    f = (x0 + xm + xp).scale(mk) + x3
+    monkeypatch.setattr(sc, "SumOfProducts", _CountingSum)
+    _CountingSum.made = 0
+    got = f * (x0 + xp)
+    assert _CountingSum.made == 0
+    assert got == al.add_all(al.Element({key: c}) * (x0 + xp)
+                             for key, c in f.terms.items())
+
+
 def _random_terms(rng):
     """An Element with up to four random basis terms, built from its dict."""
     terms = {}

@@ -116,6 +116,45 @@ def test_alpha_expansion_detects_odd_parts():
     assert any(alpha_exp % 2 for _, alpha_exp in expansion)
 
 
+def _alpha_expansion_term_by_term(el):
+    """The expansion with one reduced product and one sum per (u, v)."""
+    half = sc.rational(1, 2)
+    out = {}
+    for (a, b, _, _, _), coeff in el.terms.items():
+        base = coeff * half ** (a + b)
+        for u in range(a + 1):
+            for v in range(b + 1):
+                al._acc(out, (u + v, (a - u) + (b - v)),
+                        base * sc.integer(math.comb(a, u) * math.comb(b, v)
+                                          * (-1) ** (b - v)))
+    return out
+
+
+def _assert_same_expansion(el):
+    got = wv.central_alpha_expansion(el)
+    want = _alpha_expansion_term_by_term(el)
+    assert got.keys() == want.keys()
+    assert all(got[key] == want[key] for key in want)
+
+
+@pytest.mark.parametrize("m", [sc.M, sc.rational(2, 3)])
+def test_alpha_expansion_values_on_massive_slices(m):
+    phi = wv.massive_rest_state(m=m, n_max=8)
+    for d in range(9):
+        _assert_same_expansion(phi.slice(d))
+
+
+def test_alpha_expansion_values_drop_vanishing_sums():
+    # xi+ xi- = (x0^2 - alpha^2)/4: the x0 alpha sum vanishes
+    assert wv.central_alpha_expansion(al.monomial(a=1, b=1)).keys() == \
+        {(2, 0), (0, 2)}
+    el = al.monomial(a=1, b=1, coeff=sc.M) + \
+        al.monomial(a=3, coeff=sc.I * sc.R / sc.lambda_()) + \
+        al.monomial(a=2, b=1, coeff=sc.qnum_std(3).inverse()) - \
+        al.monomial(a=1, b=2, coeff=sc.K)
+    _assert_same_expansion(el)
+
+
 def test_zero_mass_degenerate():
     phi = wv.massive_rest_state(m=sc.ZERO, n_max=4)
     assert phi.slice(0) == al.one()
