@@ -27,7 +27,11 @@ serves as an independent multiplication oracle.
 
 Normal ordering and `to_pbw_x` sum, then reduce: each output coefficient
 is a sum of several coefficient products, and a `scalars.SumOfProducts`
-reduces it once instead of once per product.  `_mul` keeps one reduced
+reduces it once instead of once per product.  A term pair whose tail
+table has several entries, or one that is not 1, contributes v * coeff *
+t for each entry t; `mul_into` has the accumulator multiply the
+numerators of v and coeff once and leave that product unreduced, so it
+is never formed as a reduced Scalar of its own.  `_mul` keeps one reduced
 product per term pair, summed with `_acc`, in two cases.  When a factor
 has a single term, no two products share a key, so there is nothing to
 save.  When a coefficient has an unsplit (m, k) denominator, the
@@ -298,7 +302,9 @@ def _all_split(f):
 def mul_into(acc, f, g):
     """Add the terms of f * g to acc, a `scalars.SumOfProducts` keyed by
     basis monomial, reducing no coefficient.  A tail product that is one
-    monomial with coefficient 1 defers v * coeff to the accumulator too."""
+    monomial with coefficient 1 adds v * coeff; any other tail table adds
+    the unreduced product of the numerators of v and coeff, formed once,
+    times each of its coefficients."""
     for (a2, b2, c2, d2, e2), coeff in g.terms.items():
         for (a, b, c, d, e), v in f.terms.items():
             table = _tail_mul(c, d, e, c2, d2, e2)
@@ -306,9 +312,8 @@ def mul_into(acc, f, g):
                 (da, db, c3, d3, e3), _ = table[0]
                 acc.add((a + a2 + da, b + b2 + db, c3, d3, e3), v, coeff)
                 continue
-            vc = v * coeff
-            for (da, db, c3, d3, e3), t in table:
-                acc.add((a + a2 + da, b + b2 + db, c3, d3, e3), vc, t)
+            acc._add_each([((a + a2 + da, b + b2 + db, c3, d3, e3), t)
+                           for (da, db, c3, d3, e3), t in table], v, coeff)
 
 
 # -- standard elements -------------------------------------------------------

@@ -112,7 +112,8 @@ class Matrix:
             return self.scale(other)
         if isinstance(other, (Element, Localized)):
             o = _as_localized(other)
-            return Matrix([[x * o for x in row] for row in self.entries])
+            return Matrix([[_LOC_ZERO if x.is_zero() else x * o for x in row]
+                           for row in self.entries])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -120,7 +121,8 @@ class Matrix:
             return self.scale(other)
         if isinstance(other, (Element, Localized)):
             o = _as_localized(other)
-            return Matrix([[o * x for x in row] for row in self.entries])
+            return Matrix([[_LOC_ZERO if x.is_zero() else o * x for x in row]
+                           for row in self.entries])
         return NotImplemented
 
     def scale(self, c):

@@ -42,13 +42,16 @@ out only the integer content: s and i are units, so the product shares no
 factor with an already reduced denominator that the other did not.
 
 A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
-reduces once instead of once per product and per partial sum: numerators
-are multiplied into one group per product split, and each group is
-reduced when the sum is built.  A group whose numerator passes
-`_GROUP_MAX_TERMS` terms is reduced at once and started again empty.
-It builds both gradients, every `Matrix` product, the product of two
-multi-term Elements, the central stage of the PBW conversion and the
-alpha expansion of a central Element.
+reduces each output coefficient once instead of once per product and per
+partial sum: numerators are multiplied into one group per product
+denominator, and when the sum is built the groups of a key are summed
+over the lcm of their denominators and reduced once.  A product of three
+factors, a b t for each entry t of a normal-ordering table, multiplies
+the numerators of a and b once and leaves them unreduced.  A group whose
+numerator passes `_GROUP_MAX_TERMS` terms is reduced at once and started
+again empty.  It builds both gradients, every `Matrix` product, the
+product of two multi-term Elements, the central stage of the PBW
+conversion and the alpha expansion of a central Element.
 """
 
 from __future__ import annotations
@@ -77,41 +80,41 @@ class NotRationalError(ArithmeticError):
     """Value is not rational at the substitution point (residual r)."""
 
 
-def _nmul_into(acc, k1, c1, k2, c2):
-    """Accumulate the product of two numerator monomials into dict acc."""
-    c = c1 * c2
-    ei = k1[3] + k2[3]
-    if ei >= 2:
-        ei -= 2
-        c = -c
-    es = k1[0] + k2[0]
-    em = k1[1] + k2[1]
-    ek = k1[2] + k2[2]
-    er = k1[4] + k2[4]
-    if er >= 2:
-        # r^2 = s^2 + s^-2
-        for key in ((es + 2, em, ek, ei, 0), (es - 2, em, ek, ei, 0)):
+def _nmul_into(acc, n1, n2):
+    """Add the product of the numerators n1 and n2 into the dict acc.
+
+    The one place that folds i^2 = -1 and r^2 = s^2 + s^-2."""
+    for (s1, m1, k1, i1, r1), c1 in n1.items():
+        for (s2, m2, k2, i2, r2), c2 in n2.items():
+            c = c1 * c2
+            ei = i1 + i2
+            if ei >= 2:
+                ei -= 2
+                c = -c
+            es, em, ek = s1 + s2, m1 + m2, k1 + k2
+            if r1 + r2 >= 2:
+                # r^2 = s^2 + s^-2
+                key = (es + 2, em, ek, ei, 0)
+                v = acc.get(key, 0) + c
+                if v:
+                    acc[key] = v
+                elif key in acc:
+                    del acc[key]
+                es -= 2
+                er = 0
+            else:
+                er = r1 + r2
+            key = (es, em, ek, ei, er)
             v = acc.get(key, 0) + c
             if v:
                 acc[key] = v
             elif key in acc:
                 del acc[key]
-        return
-    key = (es, em, ek, ei, er)
-    v = acc.get(key, 0) + c
-    if v:
-        acc[key] = v
-    elif key in acc:
-        del acc[key]
 
 
 def _nmul(n1, n2):
-    if not n1 or not n2:
-        return {}
     acc = {}
-    for k1, c1 in n1.items():
-        for k2, c2 in n2.items():
-            _nmul_into(acc, k1, c1, k2, c2)
+    _nmul_into(acc, n1, n2)
     return acc
 
 
@@ -401,10 +404,18 @@ class SumOfProducts:
     `add(key, a, b)` multiplies the numerators of a and b into the group of
     the key and the product denominator, known by its constant term and its
     split, without reducing anything; a product whose split is None is
-    formed and summed at once.  `result()` reduces each group once and sums
-    the groups of each key.  A key that receives a single product costs no
-    denominator work: `result()` forms it with `Scalar.__mul__`, whose unit
-    fast path needs no reduction.
+    formed and summed at once.  `result()` sums the groups of each key over
+    the lcm of their denominators, the elementwise maximum of the splits
+    over the lcm of the constant terms, each numerator times its cofactor,
+    and reduces that sum once.  A key that receives a single product costs
+    no denominator work: `result()` forms it with `Scalar.__mul__`, whose
+    unit fast path needs no reduction.
+
+    `_add_each(entries, a, b)` adds a * b * t to the sum of each key for
+    the (key, t) of entries, as `algebra.mul_into` does for a tail table
+    of several terms.  The numerators of a and b are multiplied once and
+    stay unreduced, so their product always goes into a group: as a lone
+    factor, the unit fast path would keep its unreduced denominator.
     """
 
     __slots__ = ("_lone", "_groups", "_sums")
@@ -412,7 +423,7 @@ class SumOfProducts:
     def __init__(self):
         self._lone = {}       # key -> (a, b) while its only product, else None
         self._groups = {}     # (key, constant term, split) -> numerator
-        self._sums = {}       # key -> sum of the groups reduced so far
+        self._sums = {}       # key -> sum of the reduced products so far
 
     def add(self, key, a, b):
         """Add a * b to the sum of key."""
@@ -421,27 +432,48 @@ class SumOfProducts:
         if key not in self._lone:
             self._lone[key] = (a, b)
             return
-        lone = self._lone[key]
-        if lone:
-            self._lone[key] = None
-            self._group_add(key, *lone)
-        self._group_add(key, a, b)
+        self._unlone(key)
+        self._add_product(key, a, b)
 
-    def _group_add(self, key, a, b):
+    def _add_each(self, entries, a, b):
+        """Add a * b * t to the sum of key for each (key, t) of entries."""
+        if not a.num or not b.num:
+            return
+        split = _add_splits(a.split, b.split)
+        if split is None or any(t.split is None for _, t in entries):
+            ab = a * b
+            for key, t in entries:
+                self.add(key, ab, t)
+            return
+        n, c = _nmul(a.num, b.num), a.den[_DKEY0] * b.den[_DKEY0]
+        for key, t in entries:
+            self._unlone(key)
+            self._group_add(key, n, t.num, c * t.den[_DKEY0],
+                            _add_splits(split, t.split))
+
+    def _unlone(self, key):
+        """Mark key as summed in groups, moving its lone product there."""
+        lone = self._lone.get(key)
+        self._lone[key] = None
+        if lone:
+            self._add_product(key, *lone)
+
+    def _add_product(self, key, a, b):
         split = _add_splits(a.split, b.split)
         if split is None:
             self._reduce(key, a * b)
-            return
-        gkey = (key, a.den[_DKEY0] * b.den[_DKEY0], split)
+        else:
+            self._group_add(key, a.num, b.num,
+                            a.den[_DKEY0] * b.den[_DKEY0], split)
+
+    def _group_add(self, key, n1, n2, c, split):
+        gkey = (key, c, split)
         num = self._groups.get(gkey)
         if num is None:
             num = self._groups[gkey] = {}
-        for k1, c1 in a.num.items():
-            for k2, c2 in b.num.items():
-                _nmul_into(num, k1, c1, k2, c2)
+        _nmul_into(num, n1, n2)
         if len(num) > _GROUP_MAX_TERMS:
-            den = _split_den(gkey[1], split)
-            self._reduce(key, Scalar(num, den, split=split))
+            self._reduce(key, Scalar(num, _split_den(c, split), split=split))
             self._groups[gkey] = {}
 
     def _reduce(self, key, x):
@@ -454,10 +486,22 @@ class SumOfProducts:
         for key, lone in self._lone.items():
             if lone:
                 self._sums[key] = lone[0] * lone[1]
+        groups = {}
         for (key, c, split), num in self._groups.items():
             if num:
-                self._reduce(key, Scalar(num, _split_den(c, split),
-                                         split=split))
+                groups.setdefault(key, []).append((c, split, num))
+        for key, group in groups.items():
+            c, split, num = group[0]
+            if len(group) > 1:
+                # over the lcm: constant terms' lcm, splits' elementwise max
+                for c2, split2, _ in group[1:]:
+                    c = c // gcd(c, c2) * c2
+                    split = _max_splits(split, split2)
+                num = {}
+                for c2, split2, num2 in group:
+                    _nmul_into(num, num2, _den_as_num(_split_den(
+                        c // c2, _div_splits(split, split2))))
+            self._reduce(key, Scalar(num, _split_den(c, split), split=split))
         out = {key: x for key, x in self._sums.items() if x.num}
         self._lone, self._groups, self._sums = {}, {}, {}
         return out

@@ -423,7 +423,8 @@ def test_products_reduce_each_output_coefficient_once(monkeypatch):
     fg = f * g
     al.to_pbw_x(fg)   # warm the tail tables and the PBW caches
     # with one reduction per product (warm caches): 458 and 1,355 calls;
-    # with one per output coefficient: 94 and 551
+    # with one per group: 94 and 551; with one per output coefficient: 30
+    # and 509
     assert _count_reductions(monkeypatch, lambda: f * g) < 250
     assert _count_reductions(monkeypatch, lambda: al.to_pbw_x(fg)) < 900
 
@@ -455,7 +456,19 @@ def test_summed_product_matches_the_term_by_term_product(monkeypatch):
     assert _CountingSum.made == 0
     got = f * g
     assert _CountingSum.made == 1
-    assert got == want and got.terms.keys() == want.terms.keys()
+    assert got.terms.keys() == want.terms.keys()
+    for key, c in got.terms.items():
+        assert (c.num, c.den) == (want.terms[key].num, want.terms[key].den)
+
+
+def test_a_lone_deferred_product_leaves_reduced():
+    # x30 x+ = q^2 x+ x30 is the only product with the key x+ x30, and its
+    # pair product 1/[2] * [2] is deferred; formed as a lone product with
+    # the unit q^2 it kept the denominator: (s^8 + s^4)/(s^4 + 1)
+    got = (x30.scale(two.inverse()) + x0) * (xp.scale(two) + x0)
+    c = got.terms[(0, 0, 1, 1, 0)]
+    assert c.num == {(4, 0, 0, 0, 0): 1}
+    assert c.den == {(0, 0, 0): 1}
 
 
 def test_unsplit_coefficients_keep_the_direct_product(monkeypatch):
@@ -468,6 +481,17 @@ def test_unsplit_coefficients_keep_the_direct_product(monkeypatch):
     assert _CountingSum.made == 0
     assert got == al.add_all(al.Element({key: c}) * (x0 + xp)
                              for key, c in f.terms.items())
+
+
+def test_accumulated_product_with_unsplit_coefficients():
+    # mul_into forms v * coeff once when a coefficient has an (m, k)
+    # denominator; _mul multiplies such Elements term by term
+    mk = sc.M * (sc.M + sc.K).inverse()
+    f = (x0 + xm + xp).scale(mk) + x3
+    g = (x0 + xp + x30).scale(mk) + xm
+    acc = sc.SumOfProducts()
+    al.mul_into(acc, f, g)
+    assert al.Element(acc.result()) == f * g
 
 
 def _random_terms(rng):

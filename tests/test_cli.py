@@ -256,6 +256,9 @@ def test_verify_json_records_and_timings(capsys):
      "c26a04b949626d38c7ccd9806546c93c1a3211c7237cbcfd1ac0aeb2da2b7eac"),
     (["lpow", "x30", "5", "--json"],
      "815a76396d4299abfb526b92023fab3bf3d17ca610dd6f3f7edfc4f316316174"),
+    # a Cayley power: Localized matrix products over multi-term entries
+    (["lpow", "x0", "7", "--json"],
+     "8d6c03f6aa8c1d1aaf1c2cfd2e0c09b9b93e4a8f1f1351cf2c481da7b7312364"),
     (["derive", "x0^2*xm*xp + m/(q+1)*x3^2", "--json"],
      "a5c5365bdabb260b91b80abef2abdcae681d0abf3a69b3d19f9918b587115430"),
     (["normalize", "m/(q+1)*(x0+xm+xp)^5 + i*r*x3"],
@@ -269,8 +272,8 @@ def test_verify_json_records_and_timings(capsys):
      "c8e069aa3356c37747914fe3e9ec16b30b8f41542fb9daf0f7be969ea8c2489d"),
     (["solve", "massive", "--degree", "12", "--verify", "--json"],
      "456bc69e02d02f9e7a3433286d4e3f7774f5b2509e3bac376e7efd91430017ea"),
-], ids=["massive", "massless", "lpow", "derive", "normalize", "normalize-mk",
-        "massless-16", "massive-12"])
+], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
+        "normalize-mk", "massless-16", "massive-12"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

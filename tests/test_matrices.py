@@ -270,3 +270,40 @@ def test_eval_poly_makes_no_wasted_product(monkeypatch, n):
     assert len(calls) <= n - 1
     assert got == want
     assert mx._eval_poly([], x) == al.zero()
+
+
+def test_function_products_reduce_each_coefficient_once(monkeypatch):
+    a = mx.f_of_l0([sc.integer(n) for n in (-1, -3, 2, -2)])
+    b = mx.f_of_l0([sc.integer(n) for n in (-3, 1, 3, 2)])
+    want = a * b   # warm the tail tables
+    calls = []
+    reduce_s_only = sc._reduce_s_only
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_s_only(*args)
+
+    monkeypatch.setattr(sc, "_reduce_s_only", counting)
+    got = a * b
+    monkeypatch.setattr(sc, "_reduce_s_only", reduce_s_only)
+    coefficients = sum(len(x.num.terms) for row in got.entries for x in row)
+    # with one reduction per group and per partial sum: 1,725 calls
+    assert coefficients == 439
+    assert len(calls) <= coefficients
+    assert got == want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_matrix_times_element_skips_zero_entries(monkeypatch, side):
+    calls = []
+    mul = al._mul
+
+    def counting_mul(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    x0 = al.x0_element()
+    monkeypatch.setattr(al, "_mul", counting_mul)
+    got = mx.identity(4) * x0 if side == "right" else x0 * mx.identity(4)
+    assert len(calls) == 4
+    assert got == mx.identity(4, loc(x0))
