@@ -11,7 +11,9 @@ e_i and e_r in {0, 1}.  Denominators are real: keys (e_s, e_m, e_k) with
 e_s >= 0 and the minimal s-degree shifted out into the numerator.  Zero is
 the empty numerator.
 
-Equality is exact via cross multiplication; `canonical()` produces the fully
+Equality is exact: two Scalars over split denominators (below) are reduced
+on construction, so they are equal iff their stored forms are; any other
+pair is compared by cross multiplication.  `canonical()` produces the fully
 gcd-reduced representative (denominator's lowest monomial normalized
 positive, coprime integer content), so equal values have identical canonical
 forms.
@@ -27,14 +29,16 @@ falls back to a primitive-PRS gcd, and those involving m or k to sympy's.
 
 A split denominator is its constant term c times the product of its
 Phi_d^e_d, that product taken with constant term 1: den = c *
-_split_den(1, split).  So two fractions over split denominators c1 P1 and
-c2 P2 are added over their lcm, lcm(c1, c2) times the product of the
-elementwise maximum of the splits.  Each numerator is multiplied by its
-cofactor, read from the splits, and the reduction that follows divides
-the lcm, not the product of both denominators.  A product's denominator
-is read the same way, from c1 c2 and the summed split.  Only a sum with
-a constant or unsplit operand denominator, and a product with an unsplit
-one, still multiplies denominators term by term.
+_split_den(1, split).  Such a Scalar stores (num, c, split) and builds its
+dense `den` only when it is read.  Its reduction cancels the Phi_d by
+trial division of the numerator slices; a product of Phi_d's is
+primitive, so the content left is gcd(c, content(num)).  Two fractions
+over split denominators c1 P1 and c2 P2 are added over their lcm,
+lcm(c1, c2) times the product of the elementwise maximum of the splits.
+Each numerator is multiplied by its cofactor, read from the splits, and
+the reduction that follows divides the lcm, not the product of both
+denominators.  A product is c1 c2 over the summed split.  Only a sum or a
+product with an unsplit operand multiplies dense denominators.
 
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
@@ -166,36 +170,47 @@ def _num_real_part(n):
             if ei == 0 and er == 0}
 
 
-def _content(*dicts):
-    g = 0
-    for d in dicts:
-        for v in d.values():
-            g = gcd(g, v)
-            if g == 1:
-                return 1
+def _content(d, g=0):
+    """The gcd of g and the coefficients of the dict d."""
+    for v in d.values():
+        g = gcd(g, v)
+        if g == 1:
+            return 1
     return g
 
 
 class Scalar:
-    """Immutable element of the exact coefficient field."""
+    """Immutable element of the exact coefficient field.
 
-    __slots__ = ("num", "den", "split")
+    Over a split denominator it stores (num, c, split), and `den` = c *
+    _split_den(1, split) is built on its first read and kept; over any
+    other denominator (split None, c None) it stores `den`."""
+
+    __slots__ = ("num", "_den", "_c", "split")
     __hash__ = None
 
     def __init__(self, num, den=None, _normalize=True, split=False):
         # split: den's cyclotomic split when known; False looks it up
         if den is None:
-            den, split = {_DKEY0: 1}, ()
-        if _normalize:
-            num, den, split = _light_normalize(num, den, split)
-        elif split is False:
-            split = _den_split(den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "split", split)
+            c, split = 1, ()
+        else:
+            if _normalize:
+                num, den, split = _light_normalize(num, den, split)
+            elif split is False:
+                split = _den_split(den)
+            c = None if split is None else den[_DKEY0]
+        _init(self, num, den, c, split)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def den(self):
+        den = self._den
+        if den is None:
+            den = _split_den(self._c, self.split)
+            _init(self, self.num, den, self._c, self.split)
+        return den
 
     # -- predicates -------------------------------------------------------
 
@@ -203,8 +218,6 @@ class Scalar:
         return not self.num
 
     def is_one(self):
-        if self.den == {_DKEY0: 1}:
-            return self.num == {_NKEY0: 1}
         return self == ONE
 
     # -- ring operations --------------------------------------------------
@@ -212,27 +225,25 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == other.den:
-            return Scalar(_nadd(self.num, other.num), dict(self.den),
-                          split=self.split)
         s1, s2 = self.split, other.split
-        if s1 and s2:
-            # over the lcm: constant terms c1, c2, split the elementwise max
-            c1, c2 = self.den[_DKEY0], other.den[_DKEY0]
-            g = gcd(c1, c2)
-            split = _max_splits(s1, s2)
-            n = _nadd(_nmul(self.num, _den_as_num(
-                          _split_den(c2 // g, _div_splits(split, s1)))),
-                      _nmul(other.num, _den_as_num(
-                          _split_den(c1 // g, _div_splits(split, s2)))))
-            den = _split_den(c1 // g * c2, split)
-        else:
-            n = _nadd(_nmul(self.num, _den_as_num(other.den)),
-                      _nmul(other.num, _den_as_num(self.den)))
-            den, split = _dmul(self.den, other.den), _add_splits(s1, s2)
-        if not n:
-            return ZERO
-        return Scalar(n, den, split=split)
+        if s1 is None or s2 is None:
+            d1, d2 = self.den, other.den
+            if d1 == d2:
+                return Scalar(_nadd(self.num, other.num), d1, split=None)
+            n = _nadd(_nmul(self.num, _den_as_num(d2)),
+                      _nmul(other.num, _den_as_num(d1)))
+            return Scalar(n, _dmul(d1, d2), split=None)
+        c1, c2 = self._c, other._c
+        if c1 == c2 and s1 == s2:
+            return _split_scalar(_nadd(self.num, other.num), c1, s1)
+        # over the lcm: constant terms c1, c2, split the elementwise max
+        g = gcd(c1, c2)
+        split = _max_splits(s1, s2)
+        n = _nadd(_nmul(self.num, _den_as_num(
+                      _split_den(c2 // g, _div_splits(split, s1)))),
+                  _nmul(other.num, _den_as_num(
+                      _split_den(c1 // g, _div_splits(split, s2)))))
+        return _split_scalar(n, c1 // g * c2, split)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -240,31 +251,38 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self):
-        return Scalar(_nscale(self.num, -1), dict(self.den), _normalize=False,
-                      split=self.split)
+        return _init(object.__new__(Scalar), _nscale(self.num, -1),
+                     self._den, self._c, self.split)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        d1, d2 = self.den, other.den
-        one1, one2 = d1 == _DEN_ONE, d2 == _DEN_ONE
+        s1, s2 = self.split, other.split
+        one1 = s1 == () and self._c == 1
+        one2 = s2 == () and other._c == 1
         if one1 and one2:
-            return Scalar(_nmul(self.num, other.num), None, _normalize=False)
+            return _split_scalar(_nmul(self.num, other.num), 1, (),
+                                 normalize=False)
         if (one1 and _is_unit(self.num)) or (one2 and _is_unit(other.num)):
             # a unit shares no factor with the other, reduced, denominator
             num = _nmul(self.num, other.num)
-            den, split = (d2, other.split) if one1 else (d1, self.split)
-            c = _content(den, num)
+            x = other if one1 else self
+            c = _content(num, _content(x._den) if x._c is None else x._c)
             if c > 1:
                 num = {key: v // c for key, v in num.items()}
-                den = {key: v // c for key, v in den.items()}
-            return Scalar(num, den, _normalize=False, split=split)
-        split = _add_splits(self.split, other.split)
-        den = _dmul(d1, d2) if split is None else \
-            _split_den(d1[_DKEY0] * d2[_DKEY0], split)
-        return Scalar(_nmul(self.num, other.num), den, split=split)
+            if x._c is not None:
+                return _split_scalar(num, x._c // c, x.split,
+                                     normalize=False)
+            den = {key: v // c for key, v in x._den.items()}
+            return Scalar(num, den, _normalize=False, split=None)
+        split = _add_splits(s1, s2)
+        if split is None:
+            return Scalar(_nmul(self.num, other.num),
+                          _dmul(self.den, other.den), split=None)
+        return _split_scalar(_nmul(self.num, other.num),
+                             self._c * other._c, split)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -319,6 +337,10 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.split is not None and other.split is not None:
+            # split Scalars are reduced on construction: one form per value
+            return self._c == other._c and self.split == other.split \
+                and self.num == other.num
         if self.den == other.den:
             return self.num == other.num
         return _nmul(self.num, _den_as_num(other.den)) == \
@@ -332,7 +354,7 @@ class Scalar:
     def canonical(self):
         """Fully reduced representative (unique per field value).  A
         denominator in s alone was fully reduced on construction."""
-        if not any(k[1] or k[2] for k in self.den):
+        if self.split is not None or not any(k[1] or k[2] for k in self._den):
             return self
         num, den, split = _full_reduce(self.num, self.den)
         return Scalar(num, den, _normalize=False, split=split)
@@ -445,10 +467,10 @@ class SumOfProducts:
             for key, t in entries:
                 self.add(key, ab, t)
             return
-        n, c = _nmul(a.num, b.num), a.den[_DKEY0] * b.den[_DKEY0]
+        n, c = _nmul(a.num, b.num), a._c * b._c
         for key, t in entries:
             self._unlone(key)
-            self._group_add(key, n, t.num, c * t.den[_DKEY0],
+            self._group_add(key, n, t.num, c * t._c,
                             _add_splits(split, t.split))
 
     def _unlone(self, key):
@@ -463,8 +485,7 @@ class SumOfProducts:
         if split is None:
             self._reduce(key, a * b)
         else:
-            self._group_add(key, a.num, b.num,
-                            a.den[_DKEY0] * b.den[_DKEY0], split)
+            self._group_add(key, a.num, b.num, a._c * b._c, split)
 
     def _group_add(self, key, n1, n2, c, split):
         gkey = (key, c, split)
@@ -473,7 +494,7 @@ class SumOfProducts:
             num = self._groups[gkey] = {}
         _nmul_into(num, n1, n2)
         if len(num) > _GROUP_MAX_TERMS:
-            self._reduce(key, Scalar(num, _split_den(c, split), split=split))
+            self._reduce(key, _split_scalar(num, c, split))
             self._groups[gkey] = {}
 
     def _reduce(self, key, x):
@@ -501,7 +522,7 @@ class SumOfProducts:
                 for c2, split2, num2 in group:
                     _nmul_into(num, num2, _den_as_num(_split_den(
                         c // c2, _div_splits(split, split2))))
-            self._reduce(key, Scalar(num, _split_den(c, split), split=split))
+            self._reduce(key, _split_scalar(num, c, split))
         out = {key: x for key, x in self._sums.items() if x.num}
         self._lone, self._groups, self._sums = {}, {}, {}
         return out
@@ -509,12 +530,49 @@ class SumOfProducts:
 
 # -- normalization ----------------------------------------------------------
 
+_SET_SLOTS = tuple(getattr(Scalar, name).__set__ for name in Scalar.__slots__)
+
+
+def _init(x, num, den, c, split):
+    """Fill the slots of the new Scalar x; returns x."""
+    set_num, set_den, set_c, set_split = _SET_SLOTS
+    set_num(x, num)
+    set_den(x, den)
+    set_c(x, c)
+    set_split(x, split)
+    return x
+
+
+def _split_scalar(num, c, split, normalize=True):
+    """The Scalar num / (c prod Phi_d^e_d), its den built when read."""
+    if normalize:
+        num, c, split = _normalize_split(num, c, split)
+    return _init(object.__new__(Scalar), num, None, c, split)
+
+
+def _normalize_split(num, c, split):
+    """(num, c, split) of num / (c prod Phi_d^e_d) reduced.  A product of
+    Phi_d's is primitive, so once the Phi_d that divide num are cancelled,
+    the content left is gcd(c, content(num)); the sign of c goes to num."""
+    if not num:
+        return {}, 1, ()
+    if split:
+        num, c, split = _reduce_s_only(num, c, split)
+    if c < 0:
+        num, c = _nscale(num, -1), -c
+    if c > 1:
+        g = _content(num, c)
+        if g > 1:
+            num, c = {key: v // g for key, v in num.items()}, c // g
+    return num, c, split
+
+
 def _light_normalize(num, den, split=False):
     """(num, den, split) normalized, den's split looked up if False."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {_DKEY0: 1}, ()
+        return {}, _DEN_ONE, ()
     # shift minimal s-degree of den into num (Laurent units)
     shift = min(key[0] for key in den)
     if shift:
@@ -523,9 +581,14 @@ def _light_normalize(num, den, split=False):
                for (es, em, ek, ei, er), v in num.items()}
     if split is False:
         split = _den_split(den)
-    if split or (split is None and not any(k[1] or k[2] for k in den)):
-        num, den, split = _reduce_s_only(num, den, split)
-    c = _content(num, den)
+    if split is None and not any(k[1] or k[2] for k in den):
+        # not a product of Phi_d's: the PRS reference reduction
+        num, den = _reduce_prs(num, den)
+        split = _den_split(den)
+    if split is not None:
+        num, c, split = _normalize_split(num, den[_DKEY0], split)
+        return num, _split_den(c, split), split
+    c = _content(num, _content(den))
     if c > 1:
         num = {key: v // c for key, v in num.items()}
         den = {key: v // c for key, v in den.items()}
@@ -575,23 +638,18 @@ def _div_slice(sl, g):
     return _unshifted(lo, _div_monic(arr, g))
 
 
-def _reduce_s_only(num, den, split):
-    """Cancel the gcd of num and a denominator in s alone with the given
-    split; returns (num, den, split).
+def _reduce_s_only(num, c, split):
+    """Cancel the gcd of num and the denominator c prod Phi_d^e_d;
+    returns (num, c, split).
 
     Keeps fractions small along summation chains.  Each Phi_d of the split
     is divided out of every numerator slice as long as all of them divide.
-    A denominator that is not a product of Phi_d's (split None) falls back
-    to `_reduce_prs`.
     """
     slices = _slices(num)
     probe = sorted(slices.values(), key=len)
     if len(probe[0]) == 1:
         # an s-monomial slice shares no factor with the denominator
-        return num, den, split
-    if split is None:
-        num, den = _reduce_prs(num, den)
-        return num, den, _den_split(den)
+        return num, c, split
     cancelled = {}
     for d, e in split:
         for _ in range(e):
@@ -602,12 +660,13 @@ def _reduce_s_only(num, den, split):
             probe = sorted(slices.values(), key=len)
             cancelled[d] = cancelled.get(d, 0) + 1
     if not cancelled:
-        return num, den, split
+        return num, c, split
     # den / prod Phi_d^c_d, where that product's constant term is (-1)^c_1
-    c = -den[_DKEY0] if cancelled.get(1, 0) % 2 else den[_DKEY0]
+    if cancelled.get(1, 0) % 2:
+        c = -c
     split = tuple((d, e - cancelled.get(d, 0)) for d, e in split
                   if e > cancelled.get(d, 0))
-    return _join(slices), _split_den(c, split), split
+    return _join(slices), c, split
 
 
 def _reduce_prs(num, den):
@@ -720,7 +779,7 @@ def _div_zs(a, g):
 # products of _split_den register theirs there.
 
 _SPLITS = {}
-_PRODUCTS = {}          # split -> its product of Phi_d's, constant term 1
+_PRODUCTS = {(): _DEN_ONE}  # split -> its product of Phi_d's, constant term 1
 # Largest order d tried by a split from scratch: Phi_4n is the largest
 # factor of [[n]], and 4 * 64 covers every truncation degree the command
 # line accepts.  Trying every order up to L costs about L * (L + terms);
@@ -876,14 +935,15 @@ def _div_splits(a, b):
 
 
 def _split_den(c, split):
-    """The denominator with constant term c and the given split."""
+    """The denominator with constant term c and the given split.  For c = 1
+    it is the cached product itself: no code mutates a denominator."""
     p = _PRODUCTS.get(split)
     if p is None:
         dense = _phi_product(split)
         p = {(es, 0, 0): v * dense[0] for es, v in enumerate(dense) if v}
         _PRODUCTS[split] = p
         _SPLITS[frozenset(p.items())] = split
-    return {key: c * v for key, v in p.items()}
+    return p if c == 1 else {key: c * v for key, v in p.items()}
 
 
 def _order_bound(n):
@@ -1009,8 +1069,8 @@ def rational(p, qd=1):
     f = Fraction(p, qd)
     if f == 0:
         return ZERO
-    return Scalar({_NKEY0: f.numerator}, {_DKEY0: f.denominator},
-                  _normalize=False, split=())
+    return _split_scalar({_NKEY0: f.numerator}, f.denominator, (),
+                         normalize=False)
 
 
 def s_power(n):

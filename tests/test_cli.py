@@ -272,8 +272,10 @@ def test_verify_json_records_and_timings(capsys):
      "c8e069aa3356c37747914fe3e9ec16b30b8f41542fb9daf0f7be969ea8c2489d"),
     (["solve", "massive", "--degree", "12", "--verify", "--json"],
      "456bc69e02d02f9e7a3433286d4e3f7774f5b2509e3bac376e7efd91430017ea"),
+    (["solve", "massive", "--degree", "20", "--verify", "--json"],
+     "18be37a19cad3d01215c966bd9ccc4e36f684c0bd5c940e44590d23fe35ded28"),
 ], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
-        "normalize-mk", "massless-16", "massive-12"])
+        "normalize-mk", "massless-16", "massive-12", "massive-20"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

@@ -206,10 +206,18 @@ def _den_of(x):
 
 
 def _assert_matches_prs(num, den):
-    got = sc._reduce_s_only(num, den, sc._den_split(den))
-    assert got[:2] == sc._reduce_prs(num, den)
-    assert got[2] == _split_from_scratch(got[1])
-    return got
+    """Reduces num over den as the engine does, by the Phi_d of its split,
+    or by the PRS when it has none; the former is checked against the
+    latter.  Returns (num, den, split)."""
+    split = sc._den_split(den)
+    want = sc._reduce_prs(num, den)
+    if split is None:
+        return (*want, sc._den_split(want[1]))
+    got_num, c, got_split = sc._reduce_s_only(num, den[(0, 0, 0)], split)
+    got_den = sc._split_den(c, got_split)
+    assert (got_num, got_den) == want
+    assert got_split == _split_from_scratch(got_den)
+    return got_num, got_den, got_split
 
 
 _LAM, _TWO, _Q = sc.lambda_(), sc.two_q(), sc.q_power(1)
@@ -242,8 +250,9 @@ def test_split_reduction_shares_factor_with_multiplicity():
 def test_split_reduction_returns_at_once_on_a_monomial_slice():
     den = _den_of(_LAM * _TWO * sc.qfactorial_std(3))
     x = _LAM * sc.M + sc.s_power(3) * sc.integer(4)    # slice m^0 = 4 s^3
-    num, new_den, _ = _assert_matches_prs(x.num, den)
-    assert num is x.num and new_den is den
+    split = sc._den_split(den)
+    got = sc._reduce_s_only(x.num, den[(0, 0, 0)], split)
+    assert got[0] is x.num and got[1:] == (den[(0, 0, 0)], split)
 
 
 def test_non_cyclotomic_denominator_falls_back_to_prs():
@@ -254,6 +263,8 @@ def test_non_cyclotomic_denominator_falls_back_to_prs():
     num, new_den, _ = _assert_matches_prs(x.num, den)
     assert new_den == _den_of(sc.qnum_std(3))
     assert sc._den_split(den) is None
+    # the engine reduces it the same way on construction
+    assert sc.Scalar(x.num, den).den == new_den
 
 
 def _split_from_scratch(den):
@@ -592,3 +603,101 @@ def test_lcm_sums_match_point_evaluation(case):
         _assert_split(acc)
     if kind == "zero":
         assert acc.is_zero()
+
+
+# -- lazy denominators --------------------------------------------------------
+#
+# A split Scalar stores its numerator, constant term and split; its dense
+# denominator is built when `den` is first read.  Chains of products, sums,
+# differences and sums of products are checked against the Scalar rebuilt
+# from (num, den), against the point-evaluation mirror, and, for printing,
+# against the same chain whose denominators were never read.
+
+_LAZY_DENS = _S_DENS + [sc.qfactorial_std(n) for n in range(1, 9)]
+
+
+def _lazy_atoms():
+    return st.sampled_from(_LAZY_DENS).flatmap(_over)
+
+
+@st.composite
+def _lazy_chains(draw):
+    start = draw(_lazy_atoms())
+    steps = draw(st.lists(st.tuples(st.sampled_from("*+-S"), _lazy_atoms(),
+                                    _lazy_atoms()), min_size=1, max_size=5))
+    return start, steps
+
+
+def _run_chain(start, steps):
+    """The values of the chain and of its mirror after each step."""
+    cur, mirror = start, _eval_scalar(start)
+    for op, a, b in steps:
+        ma, mb = _eval_scalar(a), _eval_scalar(b)
+        if op == "*":
+            cur, mirror = cur * a, _quad_mul(mirror, ma)
+        elif op == "+":
+            cur, mirror = cur + a, tuple(u + v for u, v in zip(mirror, ma))
+        elif op == "-":
+            cur, mirror = cur - a, tuple(u - v for u, v in zip(mirror, ma))
+        else:
+            acc = sc.SumOfProducts()
+            for x, y in ((cur, a), (a, b), (b, cur)):
+                acc.add(0, x, y)
+            parts = (_quad_mul(mirror, ma), _quad_mul(ma, mb),
+                     _quad_mul(mb, mirror))
+            cur = acc.result().get(0, sc.ZERO)
+            mirror = tuple(sum(p) for p in zip(*parts))
+        yield cur, mirror
+
+
+@given(_lazy_chains())
+@settings(max_examples=40, deadline=None)
+def test_lazy_scalars_match_their_rebuilt_dense_form(chain):
+    start, steps = chain
+    unread = [x for x, _ in _run_chain(start, steps)]
+    assert all(x._den is None for x in unread if x)     # ZERO is shared
+    for x, (y, mirror) in zip(unread, _run_chain(start, steps)):
+        text = repr(x)                  # builds den while printing
+        _assert_split(y)                # reads den
+        rebuilt = sc.Scalar(y.num, dict(y.den))
+        assert (y.num, y.den, y.split) == \
+            (rebuilt.num, rebuilt.den, rebuilt.split)
+        # reduced, checked apart from the split path: the PRS finds no
+        # common factor, the content is 1 and c is positive
+        assert sc._reduce_prs(y.num, y.den) == (y.num, y.den)
+        assert y._c > 0 and sc._content(y.num, y._c) == 1
+        assert _eval_scalar(y) == mirror
+        assert repr(y) == text
+
+
+def test_equal_values_from_different_sums_are_identical():
+    a = (sc.integer(3) + _Q) / sc.qfactorial_std(5)
+    b = (sc.M - sc.I * sc.R) / (_TWO ** 2 * sc.qnum_std(3) * sc.integer(4))
+    c = sc.integer(-2) * sc.s_power(3) / (_LAM * sc.qfactorial_std(4))
+    for x, y in ((a, b), (a + b, c), (c, a * b)):
+        lcm, cross = x + y, _cross_sum(x, y)
+        assert lcm == cross and not lcm != cross
+        assert (lcm.num, lcm.den, lcm.split) == \
+            (cross.num, cross.den, cross.split)
+
+
+def test_unequal_split_scalars_compare_without_dense_denominators(
+        monkeypatch):
+    xs = [(sc.integer(3) + _Q) / sc.qfactorial_std(5), _LAM / _TWO,
+          sc.integer(6) / (_TWO ** 2 * sc.qnum_std(3)),
+          sc.I / (sc.integer(-3) * _LAM ** 3), sc.rational(3, 4), sc.ONE]
+    pairs = [(x, y) for x in xs for y in xs if x is not y]
+    pairs += [(x, x + sc.ONE) for x in xs] + [(x, x * _Q) for x in xs]
+    pairs += [(x, x / sc.integer(5)) for x in xs]     # only c differs
+    calls = []
+    split_den = sc._split_den
+
+    def counting(*args):
+        calls.append(1)
+        return split_den(*args)
+
+    monkeypatch.setattr(sc, "_split_den", counting)
+    for x, y in pairs:
+        assert x.split is not None and y.split is not None
+        assert x != y and not x == y
+    assert calls == []

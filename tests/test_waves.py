@@ -207,3 +207,22 @@ def test_undivided_delta_fails_the_massive_check():
 
 def test_undivided_delta_fails_the_klein_gordon_check():
     _assert_fails_on_the_undivided_slice(wv.verify_klein_gordon(_UNDIVIDED))
+
+
+def test_shared_denominators_survive_a_solve():
+    # a split Scalar's den is the cached product of its split when its
+    # constant term is 1: reading and printing them must leave the cache
+    # as built
+    state = wv.massive_rest_state(sc.M, 8)
+    assert wv.verify_massive(state, sc.M).ok
+    assert wv.verify_klein_gordon(state, sc.M).ok
+    for sl in state.slices:
+        for c in sl.terms.values():
+            assert c.den
+            repr(c)
+    assert sc._DEN_ONE == {(0, 0, 0): 1}
+    assert sc._PRODUCTS[()] is sc._DEN_ONE
+    for split, product in sc._PRODUCTS.items():
+        dense = sc._phi_product(split)
+        assert product == {(es, 0, 0): v * dense[0]
+                           for es, v in enumerate(dense) if v}
