@@ -209,7 +209,7 @@ class Scalar:
         den = self._den
         if den is None:
             den = _split_den(self._c, self.split)
-            _init(self, self.num, den, self._c, self.split)
+            _SET_SLOTS[1](self, den)         # fill the _den slot only
         return den
 
     # -- predicates -------------------------------------------------------

@@ -253,6 +253,7 @@ def test_split_reduction_returns_at_once_on_a_monomial_slice():
     split = sc._den_split(den)
     got = sc._reduce_s_only(x.num, den[(0, 0, 0)], split)
     assert got[0] is x.num and got[1:] == (den[(0, 0, 0)], split)
+    _assert_matches_prs(x.num, den)     # and the PRS cancels nothing either
 
 
 def test_non_cyclotomic_denominator_falls_back_to_prs():
