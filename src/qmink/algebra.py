@@ -31,13 +31,9 @@ reduces it once instead of once per product.  A term pair whose tail
 table has several entries, or one that is not 1, contributes v * coeff *
 t for each entry t; `mul_into` has the accumulator multiply the
 numerators of v and coeff once and leave that product unreduced, so it
-is never formed as a reduced Scalar of its own.  `_mul` keeps one reduced
-product per term pair, summed with `_acc`, in two cases.  When a factor
-has a single term, no two products share a key, so there is nothing to
-save.  When a coefficient has an unsplit (m, k) denominator, the
-accumulator forms those products one by one anyway, and summing them in
-its order leaves larger unreduced fractions: normalizing and printing
-(x0/(m+k) + xm + xp)^5 took 1.3-1.6 s that way instead of 0.7-0.8 s.
+is never formed as a reduced Scalar of its own.  When a factor has a
+single term, no two products share a key, so there is nothing to save:
+`_mul` keeps one reduced product per term pair, summed with `_acc`.
 """
 
 from __future__ import annotations
@@ -279,8 +275,7 @@ def _tail_mul(c, d, e, c2, d2, e2):
 def _mul(f, g):
     if not f.terms or not g.terms:
         return zero()
-    if len(f.terms) > 1 and len(g.terms) > 1 and _all_split(f) \
-            and _all_split(g):
+    if len(f.terms) > 1 and len(g.terms) > 1:
         acc = sc.SumOfProducts()
         mul_into(acc, f, g)
         return Element(acc.result(), _copy=False)
@@ -292,11 +287,6 @@ def _mul(f, g):
                 _acc(acc, (a + a2 + da, b + b2 + db, c3, d3, e3),
                      vc if t is ONE else vc * t)
     return Element(acc, _copy=False)
-
-
-def _all_split(f):
-    """True when no coefficient of f has an unsplit (m, k) denominator."""
-    return all(c.split is not None for c in f.terms.values())
 
 
 def mul_into(acc, f, g):

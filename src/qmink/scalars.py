@@ -11,34 +11,32 @@ e_i and e_r in {0, 1}.  Denominators are real: keys (e_s, e_m, e_k) with
 e_s >= 0 and the minimal s-degree shifted out into the numerator.  Zero is
 the empty numerator.
 
-Equality is exact: two Scalars over split denominators (below) are reduced
-on construction, so they are equal iff their stored forms are; any other
-pair is compared by cross multiplication.  `canonical()` produces the fully
-gcd-reduced representative (denominator's lowest monomial normalized
-positive, coprime integer content), so equal values have identical canonical
-forms.
+Every Scalar is reduced when it is built and stores (num, c, split): its
+denominator is c * prod F^e, c a positive integer and each F an
+irreducible factor of Z[s, m, k], primitive with a positive coefficient
+on its lowest monomial (lexicographic in (e_s, e_m, e_k)).  The *split*
+is the sorted tuple of the (id, e), the ids from one registry: Phi_d(s)
+has id d, and any other factor a negative id given when it is first
+seen.  Two Scalars are equal iff their stored forms are, and the dense
+`den` is built only when it is read.
 
-Denominators in s alone are reduced on construction.  The engine builds
-them from [2] = s^-2 Phi_8(s), lambda = s^-2 Phi_1 Phi_2 Phi_4 and
-[[n]] = prod_{d | 4n, d not dividing 4} Phi_d(s), so each is c times a
-product of cyclotomic polynomials Phi_d(s).  A Scalar carries the
-exponents e_d, its denominator's *split*: a product's split is the sum of
-its factors', and a reduction finds the gcd by exact trial division by each
-Phi_d and subtracts what it cancels.  A denominator that does not split
-falls back to a primitive-PRS gcd, and those involving m or k to sympy's.
+The engine builds its denominators from [2] = s^-2 Phi_8(s), lambda =
+s^-2 Phi_1 Phi_2 Phi_4 and [[n]] = prod_{d | 4n, d not dividing 4}
+Phi_d(s).  A product is c1 c2 over the summed split.  Two fractions are
+added over their lcm, lcm(c1, c2) times the elementwise maximum of the
+splits: each numerator is multiplied by its cofactor, read from the
+splits, and the reduction that follows divides the lcm, not the product
+of both denominators.  A reduction trial-divides the numerator by each
+factor of the split and subtracts what it cancels; a product of
+primitive factors is primitive, so the content left is gcd(c,
+content(num)).
 
-A split denominator is its constant term c times the product of its
-Phi_d^e_d, that product taken with constant term 1: den = c *
-_split_den(1, split).  Such a Scalar stores (num, c, split) and builds its
-dense `den` only when it is read.  Its reduction cancels the Phi_d by
-trial division of the numerator slices; a product of Phi_d's is
-primitive, so the content left is gcd(c, content(num)).  Two fractions
-over split denominators c1 P1 and c2 P2 are added over their lcm,
-lcm(c1, c2) times the product of the elementwise maximum of the splits.
-Each numerator is multiplied by its cofactor, read from the splits, and
-the reduction that follows divides the lcm, not the product of both
-denominators.  A product is c1 c2 over the summed split.  Only a sum or a
-product with an unsplit operand multiplies dense denominators.
+Only a fresh denominator, of an inverse, of read text or of
+`Scalar(num, den)`, is factored: the Phi_d and the factors already
+registered, m and k among them, by trial division, and what is left, if
+anything, as one factor when it is linear in a variable, else by sympy's
+`factor_list`, imported only then.  The splits are cached by primitive
+part.
 
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
@@ -61,7 +59,6 @@ conversion and the alpha expansion of a central Element.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, log
 
 __all__ = [
@@ -182,24 +179,18 @@ def _content(d, g=0):
 class Scalar:
     """Immutable element of the exact coefficient field.
 
-    Over a split denominator it stores (num, c, split), and `den` = c *
-    _split_den(1, split) is built on its first read and kept; over any
-    other denominator (split None, c None) it stores `den`."""
+    It stores (num, c, split), reduced, and `den` = c * _split_den(1,
+    split) is built on its first read and kept."""
 
     __slots__ = ("num", "_den", "_c", "split")
     __hash__ = None
 
-    def __init__(self, num, den=None, _normalize=True, split=False):
-        # split: den's cyclotomic split when known; False looks it up
+    def __init__(self, num, den=None):
         if den is None:
             c, split = 1, ()
         else:
-            if _normalize:
-                num, den, split = _light_normalize(num, den, split)
-            elif split is False:
-                split = _den_split(den)
-            c = None if split is None else den[_DKEY0]
-        _init(self, num, den, c, split)
+            num, c, split = _light_normalize(num, den)
+        _init(self, num, None, c, split)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -226,17 +217,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         s1, s2 = self.split, other.split
-        if s1 is None or s2 is None:
-            d1, d2 = self.den, other.den
-            if d1 == d2:
-                return Scalar(_nadd(self.num, other.num), d1, split=None)
-            n = _nadd(_nmul(self.num, _den_as_num(d2)),
-                      _nmul(other.num, _den_as_num(d1)))
-            return Scalar(n, _dmul(d1, d2), split=None)
         c1, c2 = self._c, other._c
         if c1 == c2 and s1 == s2:
             return _split_scalar(_nadd(self.num, other.num), c1, s1)
-        # over the lcm: constant terms c1, c2, split the elementwise max
+        # over the lcm: lcm(c1, c2), the elementwise max of the splits
         g = gcd(c1, c2)
         split = _max_splits(s1, s2)
         n = _nadd(_nmul(self.num, _den_as_num(
@@ -269,20 +253,12 @@ class Scalar:
             # a unit shares no factor with the other, reduced, denominator
             num = _nmul(self.num, other.num)
             x = other if one1 else self
-            c = _content(num, _content(x._den) if x._c is None else x._c)
+            c = _content(num, x._c)
             if c > 1:
                 num = {key: v // c for key, v in num.items()}
-            if x._c is not None:
-                return _split_scalar(num, x._c // c, x.split,
-                                     normalize=False)
-            den = {key: v // c for key, v in x._den.items()}
-            return Scalar(num, den, _normalize=False, split=None)
-        split = _add_splits(s1, s2)
-        if split is None:
-            return Scalar(_nmul(self.num, other.num),
-                          _dmul(self.den, other.den), split=None)
+            return _split_scalar(num, x._c // c, x.split, normalize=False)
         return _split_scalar(_nmul(self.num, other.num),
-                             self._c * other._c, split)
+                             self._c * other._c, _add_splits(s1, s2))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -337,14 +313,9 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.split is not None and other.split is not None:
-            # split Scalars are reduced on construction: one form per value
-            return self._c == other._c and self.split == other.split \
-                and self.num == other.num
-        if self.den == other.den:
-            return self.num == other.num
-        return _nmul(self.num, _den_as_num(other.den)) == \
-            _nmul(other.num, _den_as_num(self.den))
+        # reduced on construction: one stored form per value
+        return self._c == other._c and self.split == other.split \
+            and self.num == other.num
 
     def __bool__(self):
         return bool(self.num)
@@ -352,12 +323,9 @@ class Scalar:
     # -- normal forms and substitution -------------------------------------
 
     def canonical(self):
-        """Fully reduced representative (unique per field value).  A
-        denominator in s alone was fully reduced on construction."""
-        if self.split is not None or not any(k[1] or k[2] for k in self._den):
-            return self
-        num, den, split = _full_reduce(self.num, self.den)
-        return Scalar(num, den, _normalize=False, split=split)
+        """The unique representative of the value: the Scalar itself,
+        which was reduced when it was built."""
+        return self
 
     def subst_classical(self):
         """Exact value at s = 1 (q = 1); keeps m, k, i symbolic.
@@ -366,9 +334,8 @@ class Scalar:
         NotRationalError if a residual factor r survives (r -> sqrt(2) has
         no rational value).
         """
-        red = self.canonical()
         dval = {}
-        for (_es, em, ek), v in red.den.items():
+        for (_es, em, ek), v in self.den.items():
             key = (0, em, ek)
             w = dval.get(key, 0) + v
             if w:
@@ -378,7 +345,7 @@ class Scalar:
         if not dval:
             raise PoleError("denominator vanishes at q = 1")
         nval = {}
-        for (_es, em, ek, ei, er), v in red.num.items():
+        for (_es, em, ek, ei, er), v in self.num.items():
             if er:
                 raise NotRationalError("residual r = [2]^(1/2) at q = 1")
             key = (0, em, ek, ei, 0)
@@ -391,16 +358,11 @@ class Scalar:
 
     def as_fraction(self):
         """The value as a Fraction; requires a pure rational constant."""
-        red = self.canonical()
-        if any(key != _DKEY0 for key in red.den):
+        if self.split:
             raise NotRationalError("denominator is not constant")
-        d = red.den[_DKEY0]
-        n = 0
-        for key, v in red.num.items():
-            if key != _NKEY0:
-                raise NotRationalError("value is not a rational constant")
-            n = v
-        return Fraction(n, d)
+        if any(key != _NKEY0 for key in self.num):
+            raise NotRationalError("value is not a rational constant")
+        return Fraction(self.num.get(_NKEY0, 0), self._c)
 
     def __repr__(self):
         from .surface import scalar_to_str
@@ -424,11 +386,10 @@ class SumOfProducts:
     """Sums of products a * b of Scalars, one sum per key, reduced once.
 
     `add(key, a, b)` multiplies the numerators of a and b into the group of
-    the key and the product denominator, known by its constant term and its
-    split, without reducing anything; a product whose split is None is
-    formed and summed at once.  `result()` sums the groups of each key over
+    the key and the product denominator, known by its c and its split,
+    without reducing anything.  `result()` sums the groups of each key over
     the lcm of their denominators, the elementwise maximum of the splits
-    over the lcm of the constant terms, each numerator times its cofactor,
+    over the lcm of the c's, each numerator times its cofactor,
     and reduces that sum once.  A key that receives a single product costs
     no denominator work: `result()` forms it with `Scalar.__mul__`, whose
     unit fast path needs no reduction.
@@ -444,7 +405,7 @@ class SumOfProducts:
 
     def __init__(self):
         self._lone = {}       # key -> (a, b) while its only product, else None
-        self._groups = {}     # (key, constant term, split) -> numerator
+        self._groups = {}     # (key, c, split) -> numerator
         self._sums = {}       # key -> sum of the reduced products so far
 
     def add(self, key, a, b):
@@ -462,11 +423,6 @@ class SumOfProducts:
         if not a.num or not b.num:
             return
         split = _add_splits(a.split, b.split)
-        if split is None or any(t.split is None for _, t in entries):
-            ab = a * b
-            for key, t in entries:
-                self.add(key, ab, t)
-            return
         n, c = _nmul(a.num, b.num), a._c * b._c
         for key, t in entries:
             self._unlone(key)
@@ -481,11 +437,8 @@ class SumOfProducts:
             self._add_product(key, *lone)
 
     def _add_product(self, key, a, b):
-        split = _add_splits(a.split, b.split)
-        if split is None:
-            self._reduce(key, a * b)
-        else:
-            self._group_add(key, a.num, b.num, a._c * b._c, split)
+        self._group_add(key, a.num, b.num, a._c * b._c,
+                        _add_splits(a.split, b.split))
 
     def _group_add(self, key, n1, n2, c, split):
         gkey = (key, c, split)
@@ -514,7 +467,7 @@ class SumOfProducts:
         for key, group in groups.items():
             c, split, num = group[0]
             if len(group) > 1:
-                # over the lcm: constant terms' lcm, splits' elementwise max
+                # over the lcm: the c's lcm, the splits' elementwise max
                 for c2, split2, _ in group[1:]:
                     c = c // gcd(c, c2) * c2
                     split = _max_splits(split, split2)
@@ -544,20 +497,21 @@ def _init(x, num, den, c, split):
 
 
 def _split_scalar(num, c, split, normalize=True):
-    """The Scalar num / (c prod Phi_d^e_d), its den built when read."""
+    """The Scalar num / (c prod F^e), its den built when read."""
     if normalize:
         num, c, split = _normalize_split(num, c, split)
     return _init(object.__new__(Scalar), num, None, c, split)
 
 
 def _normalize_split(num, c, split):
-    """(num, c, split) of num / (c prod Phi_d^e_d) reduced.  A product of
-    Phi_d's is primitive, so once the Phi_d that divide num are cancelled,
-    the content left is gcd(c, content(num)); the sign of c goes to num."""
+    """(num, c, split) of num / (c prod F^e) reduced.  A product of
+    primitive factors is primitive, so once the factors that divide num are
+    cancelled, the content left is gcd(c, content(num)); the sign of c goes
+    to num."""
     if not num:
         return {}, 1, ()
     if split:
-        num, c, split = _reduce_s_only(num, c, split)
+        num, c, split = _reduce(num, c, split)
     if c < 0:
         num, c = _nscale(num, -1), -c
     if c > 1:
@@ -567,44 +521,19 @@ def _normalize_split(num, c, split):
     return num, c, split
 
 
-def _light_normalize(num, den, split=False):
-    """(num, den, split) normalized, den's split looked up if False."""
+def _light_normalize(num, den):
+    """(num, c, split) of num / den reduced, den's split looked up."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, _DEN_ONE, ()
+        return {}, 1, ()
     # shift minimal s-degree of den into num (Laurent units)
     shift = min(key[0] for key in den)
     if shift:
         den = {(es - shift, em, ek): v for (es, em, ek), v in den.items()}
         num = {(es - shift, em, ek, ei, er): v
                for (es, em, ek, ei, er), v in num.items()}
-    if split is False:
-        split = _den_split(den)
-    if split is None and not any(k[1] or k[2] for k in den):
-        # not a product of Phi_d's: the PRS reference reduction
-        num, den = _reduce_prs(num, den)
-        split = _den_split(den)
-    if split is not None:
-        num, c, split = _normalize_split(num, den[_DKEY0], split)
-        return num, _split_den(c, split), split
-    c = _content(num, _content(den))
-    if c > 1:
-        num = {key: v // c for key, v in num.items()}
-        den = {key: v // c for key, v in den.items()}
-    if den[min(den)] < 0:
-        num = _nscale(num, -1)
-        den = {key: -v for key, v in den.items()}
-    return num, den, split
-
-
-def _dense(den):
-    """An s-only polynomial dict (s-degree first in each key, all >= 0)
-    as a little-endian coefficient list."""
-    out = [0] * (max(k[0] for k in den) + 1)
-    for key, v in den.items():
-        out[key[0]] = v
-    return out
+    return _normalize_split(num, *_den_split(den))
 
 
 def _slices(num):
@@ -638,20 +567,37 @@ def _div_slice(sl, g):
     return _unshifted(lo, _div_monic(arr, g))
 
 
-def _reduce_s_only(num, c, split):
-    """Cancel the gcd of num and the denominator c prod Phi_d^e_d;
-    returns (num, c, split).
+def _reduce(num, c, split):
+    """Cancel the gcd of num and the denominator c prod F^e; returns (num,
+    c, split).
 
-    Keeps fractions small along summation chains.  Each Phi_d of the split
-    is divided out of every numerator slice as long as all of them divide.
+    Keeps fractions small along summation chains.  Each factor of the
+    split is divided out of num as long as it divides: a Phi_d out of every
+    slice of num in s, any other factor out of every (e_i, e_r) component.
     """
+    cancelled = {}
+    if split[-1][0] > 0:
+        num, c = _cancel_phis(num, c, split, cancelled)
+    if split[0][0] < 0:
+        num = _cancel_factors(num, split, cancelled)
+    if not cancelled:
+        return num, c, split
+    split = tuple((f, e - cancelled.get(f, 0)) for f, e in split
+                  if e > cancelled.get(f, 0))
+    return num, c, split
+
+
+def _cancel_phis(num, c, split, cancelled):
+    """(num, c) with the Phi_d of the split that divide every slice of num
+    divided out, counted in cancelled."""
     slices = _slices(num)
     probe = sorted(slices.values(), key=len)
     if len(probe[0]) == 1:
-        # an s-monomial slice shares no factor with the denominator
-        return num, c, split
-    cancelled = {}
+        # an s-monomial slice shares no Phi_d with the denominator
+        return num, c
     for d, e in split:
+        if d < 0:
+            continue
         for _ in range(e):
             if not all(_phi_divides(sl.items(), d) for sl in probe):
                 break
@@ -660,131 +606,94 @@ def _reduce_s_only(num, c, split):
             probe = sorted(slices.values(), key=len)
             cancelled[d] = cancelled.get(d, 0) + 1
     if not cancelled:
-        return num, c, split
-    # den / prod Phi_d^c_d, where that product's constant term is (-1)^c_1
-    if cancelled.get(1, 0) % 2:
-        c = -c
-    split = tuple((d, e - cancelled.get(d, 0)) for d, e in split
-                  if e > cancelled.get(d, 0))
-    return _join(slices), c, split
+        return num, c
+    # the Phi_d are taken with constant term 1, and Phi_1 = s - 1
+    return _join(slices), -c if cancelled.get(1, 0) % 2 else c
 
 
-def _reduce_prs(num, den):
-    """Reference reduction for s-only denominators: a primitive PRS gcd.
-
-    Works over Z[s] (s-power units are free to move, so slices are shifted
-    to degree 0 before taking gcds).  Used for denominators that are not
-    products of cyclotomic polynomials, and by the tests as the reference
-    for the split path.
-    """
-    g = _dense(den)
-    arrays = {key: _shifted(sl) for key, sl in _slices(num).items()}
-    for _, arr in arrays.values():
-        g = _gcd_zs(g, arr)
-        if len(g) == 1:
-            return num, den
-    new_den = {}
-    for es, v in enumerate(_div_zs(_dense(den), g)):
-        if v:
-            new_den[(es, 0, 0)] = v
-    return _join({key: _unshifted(lo, _div_zs(arr, g))
-                  for key, (lo, arr) in arrays.items()}), new_den
-
-
-def _strip_zs(a):
-    """Strip trailing zero coefficients (list little-endian in s)."""
-    n = len(a)
-    while n > 1 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _prim_zs(a):
-    """Shift out s^k factors and integer content; primitive part."""
-    a = _strip_zs(a)
-    lead = 0
-    while lead < len(a) - 1 and a[lead] == 0:
-        lead += 1
-    a = a[lead:]
-    c = reduce(gcd, (abs(v) for v in a if v), 0)
-    if c > 1:
-        a = [v // c for v in a]
-    return a
-
-
-def _gcd_zs(a, b):
-    """Primitive gcd of integer polynomials in s (lists, little-endian),
-    with a positive leading coefficient."""
-    a, b = _prim_zs(a), _prim_zs(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1 or b[0] != 0:
-        if len(b) == 1:
-            return [1]
-        # primitive pseudo-remainder a mod b
-        r = list(a)
-        lb = b[-1]
-        while len(r) >= len(b) and any(r):
-            r = _strip_zs(r)
-            if len(r) < len(b):
+def _cancel_factors(num, split, cancelled):
+    """num with the registered factors of the split (ids < 0) that divide
+    every (e_i, e_r) component of num divided out, counted in cancelled.
+    A factor is not s, so it divides a component iff it divides the
+    component times a power of s."""
+    lo = min(key[0] for key in num)
+    comps = {}
+    for (es, em, ek, ei, er), v in num.items():
+        comps.setdefault((ei, er), {})[(es - lo, em, ek)] = v
+    for f, e in split:
+        if f > 0:
+            break
+        for _ in range(e):
+            quots = {}
+            for key, comp in comps.items():
+                quot = _exact_div_real(comp, _FACTORS[f])
+                if quot is None:
+                    break
+                quots[key] = quot
+            if len(quots) < len(comps):
                 break
-            shift = len(r) - len(b)
-            lr = r[-1]
-            g0 = gcd(lr, lb)
-            mul_r, mul_b = lb // g0, lr // g0
-            r = [v * mul_r for v in r]
-            for j, bv in enumerate(b):
-                r[j + shift] -= mul_b * bv
-            r = _strip_zs(r)
-        r = _prim_zs(r)
-        a, b = b, r
-    if len(a) == 1 and a[0] == 0:
-        return [1]
-    a = _prim_zs(a)
-    return a if a[-1] > 0 else [-v for v in a]
+            comps = quots
+            cancelled[f] = cancelled.get(f, 0) + 1
+    if not any(f < 0 for f in cancelled):
+        return num
+    return {(es + lo, em, ek) + key: v
+            for key, comp in comps.items() for (es, em, ek), v in comp.items()}
 
 
-def _div_zs(a, g):
-    """Exact division of an integer s-polynomial by g (primitive)."""
-    if g == [1]:
-        return list(a)
-    a = list(a)
-    out = [0] * (len(a) - len(g) + 1)
-    glead = g[-1]
-    for pos in range(len(a) - 1, len(g) - 2, -1):
-        c = a[pos]
-        if c == 0:
-            continue
-        qc, rr = divmod(c, glead)
-        if rr:
-            raise ArithmeticError("inexact s-polynomial division")
-        j = pos - (len(g) - 1)
-        out[j] = qc
-        for t, gv in enumerate(g):
-            a[j + t] -= qc * gv
-    if any(a):
-        raise ArithmeticError("inexact s-polynomial division")
-    return out
+def _exact_div_real(p, g):
+    """p / g for real polynomials (keys (e_s, e_m, e_k), exponents >= 0),
+    or None when g does not divide p.  If g divides p, g(2, 3, 5) divides
+    p(2, 3, 5), which rejects most other g at once."""
+    at = _at_235(g)
+    if at and _at_235(p) % at:
+        return None
+    rem = dict(p)
+    glead = max(g)
+    gc = g[glead]
+    quot = {}
+    while rem:
+        lead = max(rem)
+        key = (lead[0] - glead[0], lead[1] - glead[1], lead[2] - glead[2])
+        qc, res = divmod(rem[lead], gc)
+        if res or min(key) < 0:
+            return None
+        quot[key] = qc
+        for gkey, gv in g.items():
+            kk = (key[0] + gkey[0], key[1] + gkey[1], key[2] + gkey[2])
+            v = rem.get(kk, 0) - qc * gv
+            if v:
+                rem[kk] = v
+            elif kk in rem:
+                del rem[kk]
+    return quot
 
 
-# -- cyclotomic splits ------------------------------------------------------
+def _at_235(p):
+    """The real polynomial p at (s, m, k) = (2, 3, 5)."""
+    return sum((v << a) * 3 ** b * 5 ** c for (a, b, c), v in p.items())
+
+
+# -- the registry of denominator factors ------------------------------------
 #
-# The split of a denominator in s alone is the sorted tuple of (d, e_d) with
-# den = c * prod_d Phi_d(s)^e_d; it is () for a constant.  It is None for a
-# denominator in m or k, and for one that is not all cyclotomic or whose
-# split from scratch would need an order d above _SCRATCH_MAX_ORDER; the
-# PRS reduces the latter.  Only a fresh denominator (an inverse, read text)
-# is looked up in _SPLITS, by its primitive part (content and sign divided
-# out).  The q-factorials, whose inverses the q-exponentials take, and the
-# products of _split_den register theirs there.
+# A split is the sorted tuple of (id, e) with den = c * prod F_id^e; it is
+# () for a constant.  Phi_d(s) has id d; any other irreducible factor of
+# Z[s, m, k], normalized primitive with a positive coefficient on its
+# lowest monomial, is kept in _FACTORS: m is -1, k is -2, and any other
+# factor gets the next negative id when first seen.  Only a fresh
+# denominator (an inverse, read text) is looked up in _SPLITS, by its
+# primitive part (content and sign divided out).  The q-factorials, whose
+# inverses the q-exponentials take, and the products of _split_den register
+# theirs there.
 
 _SPLITS = {}
-_PRODUCTS = {(): _DEN_ONE}  # split -> its product of Phi_d's, constant term 1
-# Largest order d tried by a split from scratch: Phi_4n is the largest
-# factor of [[n]], and 4 * 64 covers every truncation degree the command
-# line accepts.  Trying every order up to L costs about L * (L + terms);
-# for a sparse polynomial such as 1 + s^1000, whose largest factor is
-# Phi_2000, that is far more than the PRS.
+_PRODUCTS = {(): _DEN_ONE}  # split -> its product of factors, c = 1
+_FACTORS = {-1: {(0, 1, 0): 1}, -2: {(0, 0, 1): 1}}   # id < 0 -> factor
+_FACTOR_IDS = {frozenset(f.items()): fid for fid, f in _FACTORS.items()}
+# Largest order d that a split from scratch always tries: Phi_4n is the
+# largest factor of [[n]], and 4 * 64 covers every truncation degree the
+# command line accepts.  Trying every order up to L costs about
+# L * (L + terms), so a larger order is tried only while what is left could
+# be a product of Phi_d's.
 _SCRATCH_MAX_ORDER = 256
 _PHI = {}
 _COFACTORS = {}
@@ -884,33 +793,78 @@ def _prime_cofactors(d):
     return out
 
 
-def _prim_key(den):
-    """Cache key of an s-only denominator dict (lowest term s^0): its
-    primitive part with a positive constant term, as a frozenset."""
-    c = gcd(*den.values())
-    if den[_DKEY0] < 0:
+def _primitive(den):
+    """(c, key) with den = c * P, P primitive with a positive coefficient on
+    its lowest monomial, and key the frozenset of P's items."""
+    c = _content(den)
+    if den[min(den)] < 0:
         c = -c
     if c == 1:
-        return frozenset(den.items())
-    return frozenset((key, v // c) for key, v in den.items())
+        return c, frozenset(den.items())
+    return c, frozenset((key, v // c) for key, v in den.items())
 
 
 def _den_split(den):
-    """The split of a denominator dict with lowest s-power 0, cached."""
+    """(c, split) of a denominator dict with lowest s-power 0, cached."""
     if len(den) == 1 and _DKEY0 in den:
-        return ()
-    if any(k[1] or k[2] for k in den):
-        return None
-    key = _prim_key(den)
+        return den[_DKEY0], ()
+    c, key = _primitive(den)
     if key not in _SPLITS:
-        _SPLITS[key] = _split_from_scratch(_dense(dict(key)))
-    return _SPLITS[key]
+        _SPLITS[key] = _factor(dict(key))
+    return c, _SPLITS[key]
+
+
+def _factor(p):
+    """The split of a primitive real polynomial p with lowest s-power 0:
+    the Phi_d, then the registered factors (m and k among them) that trial
+    division finds, and what is left, if it is not 1: as one factor when it
+    is linear in a variable, else by sympy, each factor registered."""
+    split, p = _split_from_scratch(p)
+    split = dict(split)
+    for fid, f in _FACTORS.items():
+        quot = _exact_div_real(p, f)
+        while quot is not None:
+            p = quot
+            split[fid] = split.get(fid, 0) + 1
+            quot = _exact_div_real(p, f)
+    if _is_linear(p):
+        fid = _factor_id(p)
+        split[fid] = split.get(fid, 0) + 1
+    elif len(p) > 1:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import ring
+        _, factors = ring("s,m,k", ZZ)[0].from_dict(p).factor_list()
+        for f, e in factors:
+            fid = _factor_id({tuple(map(int, key)): int(v)
+                              for key, v in f.to_dict().items()})
+            split[fid] = split.get(fid, 0) + e
+    return tuple(sorted(split.items()))
+
+
+def _is_linear(p):
+    """Whether p = a v + b for a variable v, an integer a and b free of v:
+    then p, primitive, is irreducible."""
+    return any([key for key in p if key[j]] == [unit]
+               for j, unit in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def _factor_id(f):
+    """The registry id of the irreducible real polynomial f: d for Phi_d,
+    else the negative id of f normalized, registered when first seen."""
+    if not any(key[1] or key[2] for key in f):
+        cyclotomic, _ = _split_from_scratch(f)
+        if cyclotomic:
+            return cyclotomic[0][0]
+    _, key = _primitive(f)
+    fid = _FACTOR_IDS.get(key)
+    if fid is None:
+        fid = _FACTOR_IDS[key] = -1 - len(_FACTORS)
+        _FACTORS[fid] = dict(key)
+    return fid
 
 
 def _add_splits(a, b):
     """The split of a product of denominators with splits a and b."""
-    if a is None or b is None:
-        return None
     if not a or not b:
         return a or b
     out = dict(a)
@@ -935,12 +889,17 @@ def _div_splits(a, b):
 
 
 def _split_den(c, split):
-    """The denominator with constant term c and the given split.  For c = 1
-    it is the cached product itself: no code mutates a denominator."""
+    """c times the product of the split's factors.  For c = 1 it is the
+    cached product itself: no code mutates a denominator."""
     p = _PRODUCTS.get(split)
     if p is None:
-        dense = _phi_product(split)
+        dense = _phi_product(tuple(fe for fe in split if fe[0] > 0))
         p = {(es, 0, 0): v * dense[0] for es, v in enumerate(dense) if v}
+        for f, e in split:
+            if f > 0:
+                break
+            for _ in range(e):
+                p = _dmul(p, _FACTORS[f])
         _PRODUCTS[split] = p
         _SPLITS[frozenset(p.items())] = split
     return p if c == 1 else {key: c * v for key, v in p.items()}
@@ -956,105 +915,42 @@ def _order_bound(n):
 
 
 def _split_from_scratch(p):
-    """Split of a primitive s-polynomial by trial division, or None.
-
-    Orders d above _SCRATCH_MAX_ORDER are not tried, so a polynomial with
-    such a factor gets None and is left to the PRS."""
-    if p[-1] < 0:
-        p = [-v for v in p]
-    if p[-1] != 1 or p[0] not in (1, -1):
-        return None
-    rev = p[::-1]
-    if rev != p and rev != [-v for v in p]:
-        return None          # a product of Phi_d's is (anti)palindromic
+    """(split, rest) of a real polynomial p by trial division: the Phi_d
+    dividing every slice of p in s, with multiplicity, and p divided by
+    them.  An order d above _SCRATCH_MAX_ORDER is tried only while the rest
+    is in s alone and could be a product of Phi_d's: (anti)palindromic,
+    with ends +-1."""
+    slices = {}
+    for (es, em, ek), v in p.items():
+        slices.setdefault((em, ek), {})[es] = v
     split = {}
-    terms = [(j, v) for j, v in enumerate(p) if v]
-    for d in range(1, min(_order_bound(len(p) - 1), _SCRATCH_MAX_ORDER) + 1):
-        if len(p) == 1:
+    deg = min(max(sl) - min(sl) for sl in slices.values())
+    extend = _may_be_cyclotomic(slices)
+    for d in range(1, _order_bound(deg) + 1):
+        if not deg or (d > _SCRATCH_MAX_ORDER and not extend):
             break
-        if sum(k * mu for k, mu in _binomials(d)) >= len(p):   # phi(d)
+        if sum(k * mu for k, mu in _binomials(d)) > deg:      # phi(d)
             continue
-        while _phi_divides(terms, d):
-            p = _div_monic(p, _cyclotomic(d))
-            terms = [(j, v) for j, v in enumerate(p) if v]
+        while all(_phi_divides(sl.items(), d) for sl in slices.values()):
+            slices = {key: _div_slice(sl, _cyclotomic(d))
+                      for key, sl in slices.items()}
+            deg = min(max(sl) - min(sl) for sl in slices.values())
+            extend = _may_be_cyclotomic(slices)
             split[d] = split.get(d, 0) + 1
-    return tuple(split.items()) if len(p) == 1 else None
+    rest = {(es, em, ek): v
+            for (em, ek), sl in slices.items() for es, v in sl.items()}
+    return tuple(split.items()), rest
 
 
-def _full_reduce(num, den):
-    """Cancel the gcd of num and a denominator in m or k, via sympy;
-    returns (num, den, split)."""
-    # Cancel the common real polynomial factor.  Components of num by
-    # (e_i, e_r) are real polynomials; a real factor divides num iff it
-    # divides every component.
-    shift = min(0, min(key[0] for key in num))
-    comps = {}
-    for (es, em, ek, ei, er), v in num.items():
-        comps.setdefault((ei, er), {})[(es - shift, em, ek)] = v
-    g = _real_gcd([den, *comps.values()])
-    if g is not None and g != {_DKEY0: 1}:
-        den = _exact_div_real(den, g)
-        num = {(es + shift, em, ek, ei, er): v
-               for (ei, er), comp in comps.items()
-               for (es, em, ek), v in _exact_div_real(comp, g).items()}
-    return _light_normalize(num, den)
-
-
-_SYMPY_RING = None
-
-
-def _real_gcd(polys):
-    """Gcd of real sparse polynomials over Q, via sympy's ring gcd."""
-    global _SYMPY_RING
-    if _SYMPY_RING is None:
-        from sympy.polys.rings import ring
-        from sympy.polys.domains import QQ
-        _SYMPY_RING = (ring("s,m,k", QQ), )
-    R = _SYMPY_RING[0][0]
-    from sympy.polys.domains import QQ
-    elems = [R.from_dict({key: QQ(v) for key, v in p.items()}) for p in polys]
-    g = elems[0]
-    for e in elems[1:]:
-        g = g.gcd(e)
-        if g == R.one:
-            return None
-    # gcd is defined up to a unit: rescale to primitive integer form with
-    # positive leading coefficient
-    fracs = {tuple(int(e) for e in mono):
-             Fraction(int(c.numerator), int(c.denominator))
-             for mono, c in g.to_dict().items()}
-    lcm = 1
-    for f in fracs.values():
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = {key: int(f * lcm) for key, f in fracs.items()}
-    c = reduce(gcd, (abs(v) for v in ints.values()))
-    if ints[max(ints)] < 0:
-        c = -c
-    return {key: v // c for key, v in ints.items()}
-
-
-def _exact_div_real(p, g):
-    """Exact division of real sparse polys (keys (e_s, e_m, e_k))."""
-    rem = dict(p)
-    glead = max(g)
-    gc = g[glead]
-    quot = {}
-    while rem:
-        lead = max(rem)
-        c = rem[lead]
-        key = (lead[0] - glead[0], lead[1] - glead[1], lead[2] - glead[2])
-        qc, res = divmod(c, gc)
-        if key[1] < 0 or key[2] < 0 or res:
-            raise ArithmeticError("inexact division")
-        quot[key] = qc
-        for gkey, gv in g.items():
-            kk = (key[0] + gkey[0], key[1] + gkey[1], key[2] + gkey[2])
-            v = rem.get(kk, 0) - qc * gv
-            if v:
-                rem[kk] = v
-            elif kk in rem:
-                del rem[kk]
-    return quot
+def _may_be_cyclotomic(slices):
+    """Whether the polynomial of these slices is in s alone, nonconstant,
+    (anti)palindromic and has ends +-1, as a product of Phi_d's is."""
+    if len(slices) != 1 or (0, 0) not in slices:
+        return False
+    _, p = _shifted(slices[(0, 0)])
+    rev = p[::-1]
+    return len(p) > 1 and p[0] in (1, -1) and p[-1] in (1, -1) \
+        and (rev == p or rev == [-v for v in p])
 
 
 # -- constructors -----------------------------------------------------------
@@ -1062,7 +958,7 @@ def _exact_div_real(p, g):
 def integer(n):
     if n == 0:
         return ZERO
-    return Scalar({_NKEY0: int(n)}, None, _normalize=False)
+    return Scalar({_NKEY0: int(n)})
 
 
 def rational(p, qd=1):
@@ -1075,7 +971,7 @@ def rational(p, qd=1):
 
 def s_power(n):
     """s^n (s = q^(1/2))."""
-    return Scalar({(n, 0, 0, 0, 0): 1}, None, _normalize=False)
+    return Scalar({(n, 0, 0, 0, 0): 1})
 
 
 def q_power(n):
@@ -1083,12 +979,12 @@ def q_power(n):
     return s_power(2 * n)
 
 
-ZERO = Scalar({}, None, _normalize=False)
+ZERO = Scalar({})
 ONE = integer(1)
-I = Scalar({(0, 0, 0, 1, 0): 1}, None, _normalize=False)
-R = Scalar({(0, 0, 0, 0, 1): 1}, None, _normalize=False)
-M = Scalar({(0, 1, 0, 0, 0): 1}, None, _normalize=False)
-K = Scalar({(0, 0, 1, 0, 0): 1}, None, _normalize=False)
+I = Scalar({(0, 0, 0, 1, 0): 1})
+R = Scalar({(0, 0, 0, 0, 1): 1})
+M = Scalar({(0, 1, 0, 0, 0): 1})
+K = Scalar({(0, 0, 1, 0, 0): 1})
 
 _QNUM_SYM = {}
 _QNUM_STD = {}
@@ -1097,8 +993,7 @@ _QFACT = {}
 
 def lambda_():
     """lambda = q - q^(-1)."""
-    return Scalar({(2, 0, 0, 0, 0): 1, (-2, 0, 0, 0, 0): -1}, None,
-                  _normalize=False)
+    return Scalar({(2, 0, 0, 0, 0): 1, (-2, 0, 0, 0, 0): -1})
 
 
 def two_q():
@@ -1113,8 +1008,8 @@ def qnum_sym(n):
     out = _QNUM_SYM.get(n)
     if out is None:
         # Laurent polynomial q^(n-1) + q^(n-3) + ... + q^(1-n)
-        out = Scalar({(2 * j, 0, 0, 0, 0): 1 for j in range(n - 1, -n - 1, -2)},
-                     None, _normalize=False) if n else ZERO
+        out = Scalar({(2 * j, 0, 0, 0, 0): 1
+                      for j in range(n - 1, -n - 1, -2)}) if n else ZERO
         _QNUM_SYM[n] = out
     return out
 
@@ -1125,8 +1020,8 @@ def qnum_std(n):
         raise ValueError("quantum number of negative integer")
     out = _QNUM_STD.get(n)
     if out is None:
-        out = Scalar({(4 * j, 0, 0, 0, 0): 1 for j in range(n)}, None,
-                     _normalize=False) if n else ZERO
+        out = Scalar({(4 * j, 0, 0, 0, 0): 1 for j in range(n)}) \
+            if n else ZERO
         _QNUM_STD[n] = out
     return out
 
@@ -1142,8 +1037,8 @@ def qfactorial_std(n):
         if n:
             # register the split of [[n]]! = [[n-1]]! [[n]], which its
             # inverse will need; [[n]] is prod Phi_d over d | 4n, d not | 4
-            _SPLITS[_prim_key(_num_real_part(out.num))] = _add_splits(
-                _den_split(_num_real_part(qfactorial_std(n - 1).num)),
+            _SPLITS[_primitive(_num_real_part(out.num))[1]] = _add_splits(
+                _den_split(_num_real_part(qfactorial_std(n - 1).num))[1],
                 tuple((d, 1) for d in range(3, 4 * n + 1)
                       if 4 * n % d == 0 and d != 4))
     return out

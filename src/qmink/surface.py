@@ -520,14 +520,13 @@ def _poly_str(terms):
 
 def scalar_to_str(x):
     """Fully parenthesized canonical rendering, q = s^2."""
-    red = x.canonical()
-    if not red.num:
+    if not x.num:
         return "(0)"
-    nstr = _poly_str(red.num.items())
-    if len(red.den) == 1 and (0, 0, 0) in red.den and red.den[(0, 0, 0)] == 1:
+    nstr = _poly_str(x.num.items())
+    if len(x.den) == 1 and (0, 0, 0) in x.den and x.den[(0, 0, 0)] == 1:
         return f"({nstr})"
     dstr = _poly_str(((es, em, ek, 0, 0), v)
-                     for (es, em, ek), v in red.den.items())
+                     for (es, em, ek), v in x.den.items())
     return f"(({nstr})/({dstr}))"
 
 

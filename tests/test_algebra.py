@@ -403,17 +403,17 @@ def test_power_makes_no_wasted_product(monkeypatch, n):
 # -- products of multi-term Elements sum, then reduce -------------------------
 
 def _count_reductions(monkeypatch, fn):
-    """The number of `_reduce_s_only` calls made by fn()."""
+    """The number of `_reduce` calls made by fn()."""
     calls = []
-    reduce_s_only = sc._reduce_s_only
+    reduce_split = sc._reduce
 
     def counting(*args):
         calls.append(1)
-        return reduce_s_only(*args)
+        return reduce_split(*args)
 
-    monkeypatch.setattr(sc, "_reduce_s_only", counting)
+    monkeypatch.setattr(sc, "_reduce", counting)
     fn()
-    monkeypatch.setattr(sc, "_reduce_s_only", reduce_s_only)
+    monkeypatch.setattr(sc, "_reduce", reduce_split)
     return len(calls)
 
 
@@ -471,21 +471,27 @@ def test_a_lone_deferred_product_leaves_reduced():
     assert c.den == {(0, 0, 0): 1}
 
 
-def test_unsplit_coefficients_keep_the_direct_product(monkeypatch):
+def test_mk_coefficients_carry_a_registry_split(monkeypatch):
+    # 1/(m + k) is over a registered factor, so a product of multi-term
+    # Elements with such coefficients is summed, then reduced, as any other
     mk = sc.M * (sc.M + sc.K).inverse()
-    assert mk.split is None
+    (fid, e), = mk.split
+    assert fid < 0 and e == 1 and mk._c == 1
+    assert sc._FACTORS[fid] == {(0, 1, 0): 1, (0, 0, 1): 1}
     f = (x0 + xm + xp).scale(mk) + x3
     monkeypatch.setattr(sc, "SumOfProducts", _CountingSum)
     _CountingSum.made = 0
-    got = f * (x0 + xp)
+    want = al.add_all(al.Element({key: c}) * (x0 + xp)
+                      for key, c in f.terms.items())
     assert _CountingSum.made == 0
-    assert got == al.add_all(al.Element({key: c}) * (x0 + xp)
-                             for key, c in f.terms.items())
+    got = f * (x0 + xp)
+    assert _CountingSum.made == 1
+    assert got == want
 
 
 def test_accumulated_product_with_unsplit_coefficients():
-    # mul_into forms v * coeff once when a coefficient has an (m, k)
-    # denominator; _mul multiplies such Elements term by term
+    # mul_into over coefficients with an (m, k) denominator agrees with the
+    # product of the Elements
     mk = sc.M * (sc.M + sc.K).inverse()
     f = (x0 + xm + xp).scale(mk) + x3
     g = (x0 + xp + x30).scale(mk) + xm

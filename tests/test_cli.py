@@ -94,6 +94,25 @@ def test_closed_pipe_exits_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_engine_commands_do_not_import_sympy():
+    # their denominators are products of Phi_d(q^(1/2)), which trial
+    # division factors, so sympy's factor_list is never needed
+    code = "\n".join([
+        "import sys",
+        "from qmink import cli",
+        "for argv in (['solve', 'massive', '--degree', '8', '--verify'],",
+        "             ['lpow', 'x0', '5'],",
+        "             ['normalize', '(x0+xm)^4/(q+1)']):",
+        "    assert cli.main(argv) == 0, argv",
+        "print('sympy' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(qmink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_nesting_at_the_bound_normalizes(capsys):
     n = cli.sf.MAX_NESTING
     _, want = run(capsys, "normalize", "x0")
@@ -263,7 +282,7 @@ def test_verify_json_records_and_timings(capsys):
      "a5c5365bdabb260b91b80abef2abdcae681d0abf3a69b3d19f9918b587115430"),
     (["normalize", "m/(q+1)*(x0+xm+xp)^5 + i*r*x3"],
      "293586f13574efa00a73ee2415851205bf19726ab15a918958b03ddcad8912cc"),
-    # denominators in m and k, reduced through sympy
+    # denominators in m and k, reduced over their registered factors
     (["normalize", "(m+q)/(m*q+q^2)*x0 + 1/(m*(q+1))*xm"
       " + ((k+1)^2)/(k^2+2*k+1)*xp"],
      "d1f2eaa24f9a148d41c69e09feda47079b11c54ffd8ea45034968d2f104681c3"),
@@ -274,8 +293,15 @@ def test_verify_json_records_and_timings(capsys):
      "456bc69e02d02f9e7a3433286d4e3f7774f5b2509e3bac376e7efd91430017ea"),
     (["solve", "massive", "--degree", "20", "--verify", "--json"],
      "18be37a19cad3d01215c966bd9ccc4e36f684c0bd5c940e44590d23fe35ded28"),
+    # powers of sums over the registered denominator factors m, m + k and
+    # q + 2
+    (["normalize", "(x0/(m+k) + xm + xp)^5"],
+     "aba174b064b1e55ad04f0711c3a3d16ae9fa7902c8a3fefb6dfeaea634808215"),
+    (["normalize", "(x0/m + xm/(m+k) + xp/(q+2))^5"],
+     "3cd19a1d5f6a7f8173ae1ab81b4118e1ea6312221bc7611fc5e7b23b07f32555"),
 ], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
-        "normalize-mk", "massless-16", "massive-12", "massive-20"])
+        "normalize-mk", "massless-16", "massive-12", "massive-20",
+        "normalize-mk-5", "normalize-mixed-5"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

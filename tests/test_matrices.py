@@ -277,15 +277,15 @@ def test_function_products_reduce_each_coefficient_once(monkeypatch):
     b = mx.f_of_l0([sc.integer(n) for n in (-3, 1, 3, 2)])
     want = a * b   # warm the tail tables
     calls = []
-    reduce_s_only = sc._reduce_s_only
+    reduce_split = sc._reduce
 
     def counting(*args):
         calls.append(1)
-        return reduce_s_only(*args)
+        return reduce_split(*args)
 
-    monkeypatch.setattr(sc, "_reduce_s_only", counting)
+    monkeypatch.setattr(sc, "_reduce", counting)
     got = a * b
-    monkeypatch.setattr(sc, "_reduce_s_only", reduce_s_only)
+    monkeypatch.setattr(sc, "_reduce", reduce_split)
     coefficients = sum(len(x.num.terms) for row in got.entries for x in row)
     # with one reduction per group and per partial sum: 1,725 calls
     assert coefficients == 439

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,116 @@ def test_scalar_arithmetic_matches_point_evaluation(ops, seed):
     _assert_split(can)
 
 
+# -- the primitive-PRS reference ------------------------------------------------
+#
+# A reduction over a denominator in s alone is checked against a gcd that
+# shares no code with the registry: a primitive polynomial remainder
+# sequence over Z[s].
+
+def _dense(den):
+    """An s-only polynomial dict (s-degree first in each key, all >= 0)
+    as a little-endian coefficient list."""
+    out = [0] * (max(k[0] for k in den) + 1)
+    for key, v in den.items():
+        out[key[0]] = v
+    return out
+
+
+def _reduce_prs(num, den):
+    """Reference reduction for s-only denominators: a primitive PRS gcd.
+
+    Works over Z[s] (s-power units are free to move, so slices are shifted
+    to degree 0 before taking gcds)."""
+    g = _dense(den)
+    arrays = {key: sc._shifted(sl) for key, sl in sc._slices(num).items()}
+    for _, arr in arrays.values():
+        g = _gcd_zs(g, arr)
+        if len(g) == 1:
+            return num, den
+    new_den = {}
+    for es, v in enumerate(_div_zs(_dense(den), g)):
+        if v:
+            new_den[(es, 0, 0)] = v
+    return sc._join({key: sc._unshifted(lo, _div_zs(arr, g))
+                     for key, (lo, arr) in arrays.items()}), new_den
+
+
+def _strip_zs(a):
+    """Strip trailing zero coefficients (list little-endian in s)."""
+    n = len(a)
+    while n > 1 and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def _prim_zs(a):
+    """Shift out s^k factors and integer content; primitive part."""
+    a = _strip_zs(a)
+    lead = 0
+    while lead < len(a) - 1 and a[lead] == 0:
+        lead += 1
+    a = a[lead:]
+    c = reduce(gcd, (abs(v) for v in a if v), 0)
+    if c > 1:
+        a = [v // c for v in a]
+    return a
+
+
+def _gcd_zs(a, b):
+    """Primitive gcd of integer polynomials in s (lists, little-endian),
+    with a positive leading coefficient."""
+    a, b = _prim_zs(a), _prim_zs(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1 or b[0] != 0:
+        if len(b) == 1:
+            return [1]
+        # primitive pseudo-remainder a mod b
+        r = list(a)
+        lb = b[-1]
+        while len(r) >= len(b) and any(r):
+            r = _strip_zs(r)
+            if len(r) < len(b):
+                break
+            shift = len(r) - len(b)
+            lr = r[-1]
+            g0 = gcd(lr, lb)
+            mul_r, mul_b = lb // g0, lr // g0
+            r = [v * mul_r for v in r]
+            for j, bv in enumerate(b):
+                r[j + shift] -= mul_b * bv
+            r = _strip_zs(r)
+        r = _prim_zs(r)
+        a, b = b, r
+    if len(a) == 1 and a[0] == 0:
+        return [1]
+    a = _prim_zs(a)
+    return a if a[-1] > 0 else [-v for v in a]
+
+
+def _div_zs(a, g):
+    """Exact division of an integer s-polynomial by g (primitive)."""
+    if g == [1]:
+        return list(a)
+    a = list(a)
+    out = [0] * (len(a) - len(g) + 1)
+    glead = g[-1]
+    for pos in range(len(a) - 1, len(g) - 2, -1):
+        c = a[pos]
+        if c == 0:
+            continue
+        qc, rr = divmod(c, glead)
+        if rr:
+            raise ArithmeticError("inexact s-polynomial division")
+        j = pos - (len(g) - 1)
+        out[j] = qc
+        for t, gv in enumerate(g):
+            a[j + t] -= qc * gv
+    if any(a):
+        raise ArithmeticError("inexact s-polynomial division")
+    return out
+
+
 # -- cyclotomic splits against the primitive-PRS reference ---------------------
 
 def _den_of(x):
@@ -206,17 +318,14 @@ def _den_of(x):
 
 
 def _assert_matches_prs(num, den):
-    """Reduces num over den as the engine does, by the Phi_d of its split,
-    or by the PRS when it has none; the former is checked against the
-    latter.  Returns (num, den, split)."""
-    split = sc._den_split(den)
-    want = sc._reduce_prs(num, den)
-    if split is None:
-        return (*want, sc._den_split(want[1]))
-    got_num, c, got_split = sc._reduce_s_only(num, den[(0, 0, 0)], split)
+    """Reduces num over den as the engine does, by the factors of its
+    split, and checks it against the PRS.  Returns (num, den, split)."""
+    c, split = sc._den_split(den)
+    got_num, c, got_split = sc._reduce(num, c, split)
     got_den = sc._split_den(c, got_split)
-    assert (got_num, got_den) == want
-    assert got_split == _split_from_scratch(got_den)
+    assert (got_num, got_den) == _reduce_prs(num, den)
+    if all(d > 0 for d, _ in got_split):
+        assert got_split == _split_from_scratch(got_den)
     return got_num, got_den, got_split
 
 
@@ -232,7 +341,7 @@ def test_split_reduction_matches_prs_on_engine_denominators(content, n, a, b):
     x = ((sc.integer(2) + _Q * sc.integer(5)) * shared
          + sc.M * (_Q - sc.integer(3)) * _LAM * shared
          + sc.I * sc.R * (_Q ** 2 + sc.integer(7)) * shared)
-    assert sc._den_split(den)          # all cyclotomic: the split path runs
+    assert sc._den_split(den)[1]       # all cyclotomic: the split path runs
     got = _assert_matches_prs(x.num, den)
     assert max(got[1]) < max(den)      # something cancelled
 
@@ -250,37 +359,65 @@ def test_split_reduction_shares_factor_with_multiplicity():
 def test_split_reduction_returns_at_once_on_a_monomial_slice():
     den = _den_of(_LAM * _TWO * sc.qfactorial_std(3))
     x = _LAM * sc.M + sc.s_power(3) * sc.integer(4)    # slice m^0 = 4 s^3
-    split = sc._den_split(den)
-    got = sc._reduce_s_only(x.num, den[(0, 0, 0)], split)
-    assert got[0] is x.num and got[1:] == (den[(0, 0, 0)], split)
+    c, split = sc._den_split(den)
+    got = sc._reduce(x.num, c, split)
+    assert got[0] is x.num and got[1:] == (c, split)
     _assert_matches_prs(x.num, den)     # and the PRS cancels nothing either
 
 
-def test_non_cyclotomic_denominator_falls_back_to_prs():
+def test_non_cyclotomic_denominator_gets_a_registered_factor():
     odd = sc.integer(1) + sc.s_power(1) * sc.integer(3) + sc.s_power(2)
     den = _den_of(odd * sc.qnum_std(3))
-    assert sc._split_from_scratch(sc._dense(den)) is None
+    # trial division finds the Phi_d of [[3]]; the rest is a new factor
+    cyclotomic, rest = sc._split_from_scratch(den)
+    assert cyclotomic == _split_from_scratch(_den_of(sc.qnum_std(3)))
+    assert rest == _den_of(odd)
+    (fid, e), = sc.Scalar(sc.ONE.num, _den_of(odd)).split
+    assert fid < 0 and e == 1 and sc._FACTORS[fid] == _den_of(odd)
+    assert sc._den_split(den)[1] == tuple(sorted(cyclotomic + ((fid, 1),)))
     x = odd * (sc.integer(2) + sc.M * _Q)
-    num, new_den, _ = _assert_matches_prs(x.num, den)
-    assert new_den == _den_of(sc.qnum_std(3))
-    assert sc._den_split(den) is None
+    num, new_den, split = _assert_matches_prs(x.num, den)
+    assert new_den == _den_of(sc.qnum_std(3)) and split == cyclotomic
     # the engine reduces it the same way on construction
     assert sc.Scalar(x.num, den).den == new_den
 
 
 def _split_from_scratch(den):
-    return sc._split_from_scratch(sc._dense(dict(sc._prim_key(den))))
+    """The split of a denominator of Phi_d's found again by trial division."""
+    split, rest = sc._split_from_scratch(dict(sc._primitive(den)[1]))
+    assert rest in ({(0, 0, 0): 1}, {(0, 0, 0): -1})
+    return split
 
 
 def _assert_split(x):
-    """x carries the split of its denominator from scratch: () for a
-    constant, None for one in m or k or one that does not split.  A split
-    denominator is its constant term times the split's product."""
-    if any(key[1] or key[2] for key in x.den):
-        assert x.split is None
-    else:
+    """x is stored reduced in the registry form: c > 0 is coprime to the
+    content of num, the split is sorted, each of its factors is normalized
+    (Phi_d as d; any other primitive with a positive lowest coefficient,
+    and no Phi_d) and divides num less often than den (a Phi_d not every
+    slice of num in s, any other not every (e_i, e_r) component).  A split
+    of Phi_d's alone is the one trial division finds again in den."""
+    assert x._c > 0 and sc._content(x.num, x._c) == 1
+    assert list(x.split) == sorted(x.split)
+    if not x.num:
+        return
+    comps = {}
+    lo = min(key[0] for key in x.num)
+    for (es, em, ek, ei, er), v in x.num.items():
+        comps.setdefault((ei, er), {})[(es - lo, em, ek)] = v
+    slices = sc._slices(x.num).values()
+    for f, e in x.split:
+        assert e > 0
+        if f > 0:
+            assert not all(sc._phi_divides(sl.items(), f) for sl in slices)
+            continue
+        poly = sc._FACTORS[f]
+        assert sc._primitive(poly) == (1, frozenset(poly.items()))
+        if not any(key[1] or key[2] for key in poly):
+            assert sc._split_from_scratch(poly)[0] == ()
+        assert any(sc._exact_div_real(comp, poly) is None
+                   for comp in comps.values())
+    if all(f > 0 for f, _ in x.split):
         assert x.split == _split_from_scratch(x.den)
-    if x.split is not None:
         assert x.den == sc._split_den(x.den[(0, 0, 0)], x.split)
 
 
@@ -288,12 +425,38 @@ def test_seeded_split_equals_split_from_scratch():
     a = (sc.integer(3) * sc.qfactorial_std(5) * _TWO ** 2).inverse()
     b = (sc.integer(2) * _LAM ** 3 * sc.qnum_std(6)).inverse()
     for x in (a * b, a + b, (a * b) * (a + b)):
-        seeded = sc._den_split(x.den)
+        seeded = sc._den_split(x.den)[1]
         assert seeded
         assert seeded == _split_from_scratch(x.den) == x.split
     for n in range(1, 10):
         fact = sc._num_real_part(sc.qfactorial_std(n).num)
-        assert sc._den_split(fact) == _split_from_scratch(fact)
+        assert sc._den_split(fact)[1] == _split_from_scratch(fact)
+
+
+def test_registered_factors_cancel_on_construction():
+    mk, q2 = sc.M + sc.K, _Q + sc.integer(2)
+    six_mk = sc.integer(6) * sc.M + sc.K
+    # a fresh denominator gets one id per factor, Phi_8 of [2] included
+    d = mk ** 2 * q2 * six_mk * _TWO
+    x = d.inverse()
+    ids = {f for f, _ in x.split}
+    assert (8, 1) in x.split and len(ids) == 4
+    assert sorted(e for f, e in x.split if f < 0) == [1, 1, 2]
+    assert {frozenset(sc._FACTORS[f].items()) for f in ids if f < 0} == {
+        frozenset((key[:3], v) for key, v in y.num.items())
+        for y in (mk, q2, six_mk)}
+    assert _eval_scalar(x) == _quad_inv(_eval_scalar(d))
+    # a product cancels the registered factors its numerator shares, in
+    # every (e_i, e_r) component, and keeps the rest
+    y = mk ** 2 * q2 * (sc.I + sc.R * sc.M) / (sc.integer(6) * mk ** 3
+                                                * q2 ** 2)
+    want = (sc.I + sc.R * sc.M) / (sc.integer(6) * mk * q2)
+    assert (y.num, y._c, y.split) == (want.num, want._c, want.split)
+    assert _eval_scalar(y) == _eval_scalar(want)
+    assert (sc.M * sc.M - sc.K * sc.K) / mk == sc.M - sc.K
+    assert ((sc.M * sc.M - sc.K * sc.K) / mk).split == ()
+    for z in (x, y, want):
+        _assert_split(z)
 
 
 def test_phi_divides_matches_exact_division():
@@ -306,7 +469,7 @@ def test_phi_divides_matches_exact_division():
             for p in (r, sc._mul_zs(r, phi)):
                 shift = rng.randint(-30, 30)
                 terms = [(j + shift, v) for j, v in enumerate(p) if v]
-                g = sc._gcd_zs(p, phi)
+                g = _gcd_zs(p, phi)
                 assert sc._phi_divides(terms, d) == (g == phi), (d, p)
 
 
@@ -336,17 +499,27 @@ def test_cyclotomic_products_from_binomials():
 def test_split_from_scratch_stops_at_its_largest_order():
     top = sc._SCRATCH_MAX_ORDER
     # [[top/4]] has Phi_top as its largest factor
-    qn = sc._dense(sc._num_real_part(sc.qnum_std(top // 4).num))
-    assert max(sc._split_from_scratch(qn))[0] == top
-    # 1 + s^1000 needs Phi_2000: no split, and the PRS reduces it
-    big = [1] + [0] * 999 + [1]
-    assert sc._split_from_scratch(big) is None
-    den = {(j, 0, 0): v for j, v in enumerate(big) if v}
+    qn = sc._num_real_part(sc.qnum_std(top // 4).num)
+    split, rest = sc._split_from_scratch(qn)
+    assert max(split)[0] == top and rest == {(0, 0, 0): 1}
+    # 1 + s^1000 = Phi_16 Phi_80 Phi_400 Phi_2000: what is left stays
+    # palindromic with ends 1, so orders past the bound are tried
+    den = {(0, 0, 0): 1, (1000, 0, 0): 1}
+    assert sc._split_from_scratch(den) == \
+        (((16, 1), (80, 1), (400, 1), (2000, 1)), {(0, 0, 0): 1})
     # Phi_16 = 1 + s^8 divides every slice and 1 + s^1000
     num = {(0, 0, 0, 0, 0): 1, (8, 0, 0, 0, 0): 1,
            (4, 1, 0, 0, 0): 3, (12, 1, 0, 0, 0): 3}
     got = _assert_matches_prs(num, den)
     assert max(got[1])[0] == 992
+    # (s + 2) Phi_300 is not: the search stops at the bound, and the factor
+    # of the rest that is Phi_300 gets the id 300
+    odd = sc._mul_zs([2, 1], sc._cyclotomic(300))
+    den = {(j, 0, 0): v for j, v in enumerate(odd) if v}
+    assert sc._split_from_scratch(den) == ((), den)
+    split = sc.Scalar(sc.ONE.num, den).split
+    assert split[1] == (300, 1) and sc._FACTORS[split[0][0]] == \
+        {(0, 0, 0): 2, (1, 0, 0): 1}
 
 
 def test_products_and_sums_carry_the_split(monkeypatch):
@@ -401,7 +574,7 @@ def test_unit_products_match_light_normalize():
             want = sc._light_normalize(sc._nmul(u.num, x.num),
                                        sc._dmul(u.den, x.den))
             for got in (u * x, x * u):
-                assert (got.num, got.den, got.split) == want
+                assert (got.num, got._c, got.split) == want
 
 
 def test_unit_products_skip_the_denominator_product(monkeypatch):
@@ -521,7 +694,7 @@ def test_sum_of_products_matches_mirror_and_naive_sum(contribs):
 
 
 @given(_contributions(_S_DENS + _MK_DENS))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_sum_of_products_matches_mirror_with_mk_denominators(contribs):
     _check_sum_of_products(contribs, s_only=False)
 
@@ -564,8 +737,7 @@ def _cross_sum(a, b):
                  sc._nmul(b.num, sc._den_as_num(a.den)))
     if not n:
         return sc.ZERO
-    return sc.Scalar(n, sc._dmul(a.den, b.den),
-                     split=sc._add_splits(a.split, b.split))
+    return sc.Scalar(n, sc._dmul(a.den, b.den))
 
 
 @st.composite
@@ -665,7 +837,7 @@ def test_lazy_scalars_match_their_rebuilt_dense_form(chain):
             (rebuilt.num, rebuilt.den, rebuilt.split)
         # reduced, checked apart from the split path: the PRS finds no
         # common factor, the content is 1 and c is positive
-        assert sc._reduce_prs(y.num, y.den) == (y.num, y.den)
+        assert _reduce_prs(y.num, y.den) == (y.num, y.den)
         assert y._c > 0 and sc._content(y.num, y._c) == 1
         assert _eval_scalar(y) == mirror
         assert repr(y) == text

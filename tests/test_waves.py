@@ -223,6 +223,9 @@ def test_shared_denominators_survive_a_solve():
     assert sc._DEN_ONE == {(0, 0, 0): 1}
     assert sc._PRODUCTS[()] is sc._DEN_ONE
     for split, product in sc._PRODUCTS.items():
-        dense = sc._phi_product(split)
-        assert product == {(es, 0, 0): v * dense[0]
-                           for es, v in enumerate(dense) if v}
+        dense = sc._phi_product(tuple((d, e) for d, e in split if d > 0))
+        want = {(es, 0, 0): v * dense[0] for es, v in enumerate(dense) if v}
+        for f, e in split:
+            for _ in range(e if f < 0 else 0):
+                want = sc._dmul(want, sc._FACTORS[f])
+        assert product == want
