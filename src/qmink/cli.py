@@ -24,10 +24,15 @@ _GEN_ALIASES = {"x0": "x0", "xm": "xm", "x-": "xm", "xp": "xp", "x+": "xp",
                 "x30": "x30"}
 
 
+_PARSER = None    # built on the first call of main, then reused
+
+
 def main(argv=None):
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         # argparse exits with 2 on usage errors already; normalize others
         raise SystemExit(2 if err.code not in (0,) else 0)

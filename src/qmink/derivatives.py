@@ -27,14 +27,22 @@ Two independent implementations are kept side by side:
   over delta^1, from cached numerators of Pi+- nabla x0 and of
   delta (Pi+ q^{2a} + Pi- q^{2b}) (`_pi_weighted`, read from the
   delta-free `matrices.l0_minus_b`), and divided by delta once, when the
-  component's `Localized` is built.
+  component's `Localized` is built.  The central prefix of a term
+  commutes past Pi+-, so a central Jackson term is fed as Pi+- nabla x0
+  times the term's monomial with its prefix lowered: no product of the
+  prefix with Pi+- is formed and reduced on its own.
 
 Both gradients sum, then reduce.  Each component is a
 `scalars.SumOfProducts` fed by `algebra.mul_into`: the coefficient
 products of a term are multiplied out without normalizing, grouped by
 their denominator, and each group is reduced once, when the component is
-built.  The oracle folds the unit q into the L entries once per word, and
-sums both its recursion and its outer sum over PBW words this way.
+built.  The oracle folds the unit q into the L entries once per generator
+(`_q_l_entries`), and sums both its recursion and its outer sum over PBW
+words this way.
+
+The wave operator `contract_d_alembert` takes two gradients and contracts
+them with the metric; `contract_gradient` does the same from a first
+gradient already at hand, as the wave checks of `waves` share it.
 
 All index vectors are in the four-vector order (0, -, +, 3).
 """
@@ -55,7 +63,7 @@ __all__ = [
     "Gradient", "OrderedPoly", "jackson_element",
     "grad_oracle", "grad_closed", "delta_correction",
     "raise_index", "lower_index", "contract_d_alembert",
-    "subst_xi_scale",
+    "contract_gradient", "subst_xi_scale",
 ]
 
 
@@ -194,20 +202,26 @@ def _l_entries(gen):
 
 
 @lru_cache(maxsize=None)
+def _q_l_entries(gen):
+    """q L_{x_gen}, the factor of the oracle's recursion, as _l_entries."""
+    q1 = sc.q_power(1)
+    return tuple(tuple(x.scale(q1) for x in row) for row in _l_entries(gen))
+
+
+@lru_cache(maxsize=None)
 def _oracle_word(word):
     """(gradient components as Elements, product Element) for a PBW word."""
     if not word:
         return ((al.zero(),) * 4, al.one())
     gen, rest = word[0], word[1:]
     comps_rest, el_rest = _oracle_word(rest)
-    q1 = sc.q_power(1)
     accs = [sc.SumOfProducts() for _ in range(4)]
     for key, c in el_rest.terms.items():
         accs[_GEN_INDEX[gen]].add(key, c, sc.ONE)
-    for acc, row in zip(accs, _l_entries(gen)):
+    for acc, row in zip(accs, _q_l_entries(gen)):
         for lmn, comp in zip(row, comps_rest):
             if lmn and comp:
-                al.mul_into(acc, lmn.scale(q1), comp)
+                al.mul_into(acc, lmn, comp)
     return (tuple(Element(acc.result(), _copy=False) for acc in accs),
             al.gen_element(gen) * el_rest)
 
@@ -278,18 +292,18 @@ def grad_closed(f):
     pi_minus = _pi_nabla(-1)
     for key, coeff in f.terms.items():
         a, b, c, d, e = key
-        tail = al.monomial(0, 0, c, d, e)
-        # central Jackson terms against nabla xi+- = Pi+- nabla x0
+        # central Jackson terms against nabla xi+- = Pi+- nabla x0; the
+        # central prefix commutes past Pi+-, so it rides on the monomial
         if a:
-            pref = al.monomial(a - 1, b, coeff=coeff * sc.qnum_std(a))
+            mono = al.monomial(a - 1, b, c, d, e, coeff=coeff * sc.qnum_std(a))
             for acc, pi in zip(accs, pi_plus):
                 if pi:
-                    al.mul_into(acc, pref * pi, tail)
+                    al.mul_into(acc, pi, mono)
         if b:
-            pref = al.monomial(a, b - 1, coeff=coeff * sc.qnum_std(b))
+            mono = al.monomial(a, b - 1, c, d, e, coeff=coeff * sc.qnum_std(b))
             for acc, pi in zip(accs, pi_minus):
                 if pi:
-                    al.mul_into(acc, pref * pi, tail)
+                    al.mul_into(acc, pi, mono)
         # spatial Jackson terms, twisted by delta (Pi+ q^(2a) + Pi- q^(2b))
         spatial = _spatial_gradient_mono(key, coeff)
         if any(spatial):
@@ -335,7 +349,13 @@ def _metric_mix(grad, eta):
 def contract_d_alembert(f, grad_fn=grad_closed):
     """The wave operator d_mu d^mu acting on f, via two gradients and the
     metric contraction sum_{mu nu} eta_{mu nu} d^nu (d^mu f)."""
-    firsts = grad_fn(f).cleared()
+    return contract_gradient(grad_fn(f), grad_fn)
+
+
+def contract_gradient(first, grad_fn=grad_closed):
+    """d_mu d^mu f from the first gradient `first` of f: the second
+    gradients and the contraction of `contract_d_alembert`."""
+    firsts = first.cleared()
     return al.add_all(grad_fn(firsts[mu]).cleared()[nu].scale(coeff)
                       for (mu, nu), coeff in mx.eta_lower().items()
                       if firsts[mu])

@@ -402,22 +402,7 @@ def test_power_makes_no_wasted_product(monkeypatch, n):
 
 # -- products of multi-term Elements sum, then reduce -------------------------
 
-def _count_reductions(monkeypatch, fn):
-    """The number of `_reduce` calls made by fn()."""
-    calls = []
-    reduce_split = sc._reduce
-
-    def counting(*args):
-        calls.append(1)
-        return reduce_split(*args)
-
-    monkeypatch.setattr(sc, "_reduce", counting)
-    fn()
-    monkeypatch.setattr(sc, "_reduce", reduce_split)
-    return len(calls)
-
-
-def test_products_reduce_each_output_coefficient_once(monkeypatch):
+def test_products_reduce_each_output_coefficient_once(count_reductions):
     f = (x0 + xm + xp + x3) ** 3
     g = (x0.scale(sc.q_power(1)) + xm - xp.scale(sc.integer(2)) + x3) ** 2
     fg = f * g
@@ -425,8 +410,8 @@ def test_products_reduce_each_output_coefficient_once(monkeypatch):
     # with one reduction per product (warm caches): 458 and 1,355 calls;
     # with one per group: 94 and 551; with one per output coefficient: 30
     # and 509
-    assert _count_reductions(monkeypatch, lambda: f * g) < 250
-    assert _count_reductions(monkeypatch, lambda: al.to_pbw_x(fg)) < 900
+    assert count_reductions(lambda: f * g) < 250
+    assert count_reductions(lambda: al.to_pbw_x(fg)) < 900
 
 
 class _CountingSum(sc.SumOfProducts):

@@ -51,6 +51,19 @@ def test_derive_json(capsys):
     assert all(v["delta_power"] == 0 for v in data.values())
 
 
+def test_one_parser_serves_calls_back_to_back(capsys):
+    code, out = run(capsys, "normalize", "--json", "xm * xp")
+    assert code == 0 and json.loads(out)["terms"]
+    code, out = run(capsys, "lpow", "x0", "1")
+    assert code == 0 and out.startswith("[0] ")
+    code, out = run(capsys, "normalize", "xm * xp")   # --json did not stick
+    assert code == 0 and "xi+ * xi-" in out and not out.startswith("{")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["lpow", "x0"])
+    assert err.value.code == 2
+    assert "required: n" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     assert cli.main(["normalize", "x0^-1"]) == 2
     assert cli.main(["derive", "(x0"]) == 2

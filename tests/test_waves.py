@@ -229,3 +229,37 @@ def test_shared_denominators_survive_a_solve():
             for _ in range(e if f < 0 else 0):
                 want = sc._dmul(want, sc._FACTORS[f])
         assert product == want
+
+
+def _record_grad_closed(monkeypatch):
+    """Wrap the module's grad_closed, which TruncatedSeries.gradient calls;
+    returns the list of the arguments of its calls."""
+    real, calls = dv.grad_closed, []
+
+    def recording(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(dv, "grad_closed", recording)
+    return calls
+
+
+def _slice_calls(calls, series):
+    return sum(any(f is sl for sl in series.slices) for f in calls)
+
+
+def test_eigenvalue_and_klein_gordon_checks_share_first_gradients(monkeypatch):
+    fresh = wv.massive_rest_state(n_max=4)
+    want = [wv.verify_massive(fresh),
+            wv.verify_klein_gordon(wv.TruncatedSeries(fresh.slices, 4))]
+    assert [(r.ok, r.degrees_checked) for r in want] == [(True, 3), (True, 2)]
+    calls = _record_grad_closed(monkeypatch)
+    phi = wv.massive_rest_state(n_max=4)
+    assert [wv.verify_massive(phi), wv.verify_klein_gordon(phi)] == want
+    assert _slice_calls(calls, phi) == 5     # one per slice, not two
+    # the kept gradients are no part of the value
+    assert phi == fresh and "_grads" not in repr(phi)
+    # a new series keeps its own gradients
+    psi = phi.scale(sc.integer(2))
+    assert [wv.verify_massive(psi), wv.verify_klein_gordon(psi)] == want
+    assert _slice_calls(calls, psi) == 5
