@@ -21,9 +21,10 @@ rewriting rules derived from the defining commutation relations:
 see tests/test_algebra.py for the verification against all six relations.)
 
 A second engine normal orders in the Poincare-Birkhoff-Witt basis
-x0^n0 x-^n1 x+^n2 x3^n3, extended by the central square root alpha with
-alpha^2 = (x0)^2 - (4/[2]^2) x^2; it backs the conversion `to_pbw_x` and
-serves as an independent multiplication oracle.
+x0^n0 x-^n1 x+^n2 x3^n3; it backs the conversion `to_pbw_x` and serves as
+an independent multiplication oracle.  An Element lies in the algebra iff
+it is symmetric under xi+ <-> xi-; its central prefixes are then
+polynomials in x0 and xi+ xi- = x^2/[2]^2 (Newton's identities).
 
 Normal ordering and `to_pbw_x` sum, then reduce: each output coefficient
 is a sum of several coefficient products, and a `scalars.SumOfProducts`
@@ -59,7 +60,7 @@ _QM2 = sc.q_power(-2)
 
 
 class NotInAlgebraError(ValueError):
-    """Element of the square-root extension with no polynomial image."""
+    """Element not symmetric under xi+ <-> xi-, so not in the algebra."""
 
     def __init__(self, msg, residue=None):
         super().__init__(msg)
@@ -513,8 +514,7 @@ def localize_div(f, n):
 
 # -- PBW engine ----------------------------------------------------------------
 #
-# Keys are (n0, na, nm, np, n3) for x0^n0 alpha^na x-^nm x+^np x3^n3 with
-# na in {0, 1}; alpha is central with alpha^2 = (x0)^2 - (4/[2]^2) x^2.
+# Keys are (n0, nm, np, n3) for x0^n0 x-^nm x+^np x3^n3.
 
 @lru_cache(maxsize=None)
 def _pbw_tail_gen(nm, np, n3, gen):
@@ -556,163 +556,109 @@ def _pbw_tail_gen(nm, np, n3, gen):
     raise KeyError(gen)
 
 
-def _xsq_pbw():
-    """x^2 = x0^2 + [2] x- x+ - q^2 x3^2 + q lam x0 x3 in the PBW basis."""
-    return {(2, 0, 0, 0, 0): ONE, (0, 0, 1, 1, 0): sc.two_q(),
-            (0, 0, 0, 0, 2): -_Q2,
-            (1, 0, 0, 0, 1): sc.q_power(1) * sc.lambda_()}
-
-
-def _alpha_sq_pbw():
-    """alpha^2 = (x0)^2 - (4/[2]^2) x^2 in the PBW basis."""
-    f = sc.integer(4) * (sc.two_q() ** 2).inverse()
-    terms = {key: -f * c for key, c in _xsq_pbw().items()}
-    terms[(2, 0, 0, 0, 0)] = ONE - f
-    return terms
-
-
-_ALPHA_SQ = _alpha_sq_pbw()
-
-
 def _pbw_mul_mono(terms, mono, coeff):
-    """Right-multiply PBW dict by a PBW monomial (n0, na, nm, np, n3)."""
-    n0, na, nm, np_, n3 = mono
-    cur = {}
-    for (a0, aa, am, ap, a3), c in terms.items():
-        cur[(a0 + n0, aa, am, ap, a3)] = c * coeff
-    for _ in range(na):
-        nxt = {}
-        for (a0, aa, am, ap, a3), c in cur.items():
-            if aa == 0:
-                _acc(nxt, (a0, 1, am, ap, a3), c)
-            else:
-                for mono2, c2 in _ALPHA_SQ.items():
-                    for key3, c3 in _pbw_mul_mono({(a0, 0, am, ap, a3): c * c2},
-                                                  mono2, ONE).items():
-                        _acc(nxt, key3, c3)
-        cur = nxt
+    """Right-multiply PBW dict by a PBW monomial (n0, nm, np, n3)."""
+    n0, nm, np_, n3 = mono
+    cur = {(a0 + n0, am, ap, a3): c * coeff
+           for (a0, am, ap, a3), c in terms.items()}
     for gen, count in (("xm", nm), ("xp", np_), ("x3", n3)):
         for _ in range(count):
             nxt = {}
-            for (a0, aa, am, ap, a3), c in cur.items():
+            for (a0, am, ap, a3), c in cur.items():
                 for (u, m2, p2, v), c2 in _pbw_tail_gen(am, ap, a3, gen):
-                    _acc(nxt, (a0 + u, aa, m2, p2, v), c * c2)
+                    _acc(nxt, (a0 + u, m2, p2, v), c * c2)
             cur = nxt
     return cur
 
 
-def _pbw5(d):
-    """Normalize PBW keys to 5-tuples (insert alpha slot when missing)."""
-    return {(k[0], 0) + k[1:] if len(k) == 4 else k: v for k, v in d.items()}
-
-
 def pbw_mul(f, g):
-    """Product of two PBW dicts (independent of the internal engine).
-
-    Accepts keys with or without the alpha slot; returns 4-tuple keys when
-    no alpha survives, else 5-tuples.
-    """
-    f, g = _pbw5(f), _pbw5(g)
+    """Product of two PBW dicts (independent of the internal engine)."""
     acc = {}
     for mono, coeff in g.items():
         for key, c in _pbw_mul_mono(f, mono, coeff).items():
             _acc(acc, key, c)
-    if any(key[1] for key in acc):
-        return acc
-    return {(n0, nm, np_, n3): v for (n0, _, nm, np_, n3), v in acc.items()}
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _alpha_even_pow(t):
-    """(alpha^2)^t as a PBW dict (5-tuple keys, alpha-free)."""
-    if t == 0:
-        return ((( 0, 0, 0, 0, 0), ONE),)
-    prev = dict(_alpha_even_pow(t - 1))
-    return tuple(pbw_mul5(prev, _ALPHA_SQ).items())
+def _xixi_pbw(j):
+    """(xi+ xi-)^j = (x^2/[2]^2)^j in PBW form, with
+    x^2 = x0^2 + [2] x- x+ - q^2 x3^2 + q lam x0 x3."""
+    if j == 0:
+        return (((0, 0, 0, 0), ONE),)
+    if j == 1:
+        two = sc.two_q()
+        two2i = (two ** 2).inverse()
+        xsq = {(2, 0, 0, 0): ONE, (0, 1, 1, 0): two, (0, 0, 0, 2): -_Q2,
+               (1, 0, 0, 1): sc.q_power(1) * sc.lambda_()}
+        return tuple((key, c * two2i) for key, c in xsq.items())
+    return tuple(pbw_mul(dict(_xixi_pbw(j - 1)), dict(_xixi_pbw(1))).items())
 
 
-def pbw_mul5(f, g):
-    """pbw_mul that always returns 5-tuple keys."""
-    return _pbw5(pbw_mul(f, g))
+def _power_sum(k):
+    """p_k = xi+^k + xi-^k as {(i, j): n}, n the coefficient of
+    x0^i (xi+ xi-)^j, by Newton's identities: p_0 = 2, p_1 = x0 and
+    p_k = x0 p_(k-1) - (xi+ xi-) p_(k-2)."""
+    p = [{(0, 0): 2}, {(1, 0): 1}]
+    for _ in range(2, k + 1):
+        nxt = {(i + 1, j): n for (i, j), n in p[-1].items()}
+        for (i, j), n in p[-2].items():
+            nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) - n
+        p.append(nxt)
+    return p[k]
 
 
 @lru_cache(maxsize=None)
-def _xi_power_pbw(sign, v):
-    """xi+-^v in PBW form: 2^-v sum_j C(v,j) x0^(v-j) (sign alpha)^j."""
-    half = sc.rational(1, 2)
+def _prefix_pbw(a, b):
+    """The central prefix of a term xi+^a xi-^b (a >= b) and its mirror
+    in PBW form: (xi+ xi-)^b p_(a-b) when a > b, (xi+ xi-)^a when a = b."""
     acc = {}
-    for j in range(v + 1):
-        coef = half ** v * sc.integer(comb(v, j) * (sign ** j))
-        even = dict(_alpha_even_pow(j // 2))
-        term = {(n0 + v - j, na + (j % 2), nm, np_, n3): c * coef
-                for (n0, na, nm, np_, n3), c in even.items()}
-        for key, c in term.items():
-            _acc(acc, key, c)
+    for (i, j), n in (_power_sum(a - b) if a > b else {(0, 0): 1}).items():
+        coef = sc.integer(n)
+        for (n0, nm, np_, n3), v in _xixi_pbw(b + j):
+            _acc(acc, (n0 + i, nm, np_, n3), v * coef)
     return tuple(acc.items())
 
 
-@lru_cache(maxsize=None)
-def _central_pbw(a, b):
-    """xi+^a xi-^b in PBW form: (x^2/[2]^2)^min * xi_sign^|a-b|."""
-    m = min(a, b)
-    base = dict(_alpha_even_pow(0))
-    if m:
-        # xi+ xi- = x^2/[2]^2
-        two2i = (sc.two_q() ** 2).inverse()
-        xsq_norm = {key: c * two2i for key, c in _xsq_pbw().items()}
-        for _ in range(m):
-            base = pbw_mul5(base, xsq_norm)
-    v = abs(a - b)
-    if v:
-        base = pbw_mul5(base, dict(_xi_power_pbw(1 if a >= b else -1, v)))
-    return tuple(base.items())
-
-
 def _pbw_tail(c, d, e):
-    """The tail x+^c x30^d x-^e in PBW form (5-tuple keys), with
-    x30 = x3 - x0 expanded binomially (x0 is central)."""
-    tail = {}
-    if e == 0:
-        for j in range(d + 1):
-            coef = sc.integer((-1) ** (d - j) * comb(d, j))
-            _acc(tail, (d - j, 0, 0, c, j), coef)
-    else:
-        ph = sc.q_power(-2 * d * e)
-        for j in range(d + 1):
-            coef = ph * sc.integer((-1) ** (d - j) * comb(d, j))
-            _acc(tail, (d - j, 0, e, 0, j), coef)
-    return tail
+    """The tail x+^c x30^d x-^e (c e = 0) in PBW form:
+    q^(-2de) x-^e x+^c (x3 - x0)^d, with x0 central."""
+    ph = sc.q_power(-2 * d * e)
+    return {(d - j, e, c, j): ph * sc.integer((-1) ** (d - j) * comb(d, j))
+            for j in range(d + 1)}
 
 
 def to_pbw_x(f):
-    """Expand a delta-free Element in the PBW basis (n0, n-, n+, n3).
+    """Expand an Element of the algebra in the PBW basis (n0, n-, n+, n3).
 
-    The central prefixes xi+^a xi-^b of all terms sharing a tail
-    x+^c x30^d x-^e are summed in PBW form first, in one `SumOfProducts`
-    per tail, so `pbw_mul` runs once per distinct tail (exact by
-    bilinearity).
-
-    Raises NotInAlgebraError when f is not a polynomial in the coordinates
-    (a residual odd power of alpha survives).
+    Since x0 = xi+ + xi- and x^2 = [2]^2 xi+ xi-, f lies in the algebra
+    iff it equals its mirror sigma(f), which swaps xi+ and xi- (a and b in
+    every key); otherwise NotInAlgebraError carries the residue
+    f - sigma(f).  A term with a > b then stands for itself and its
+    mirror, whose prefixes sum to (xi+ xi-)^b p_(a-b) (`_power_sum`).  The
+    prefixes of all terms sharing a tail x+^c x30^d x-^e are summed in PBW
+    form first, in one `SumOfProducts` per tail, so `pbw_mul` runs once per
+    distinct tail (exact by bilinearity).
     """
     if isinstance(f, Localized):
         f = f.try_clear()
-    centrals = defaultdict(sc.SumOfProducts)
-    for (a, b, c, d, e), coeff in f.terms.items():
-        central = centrals[(c, d, e)]
-        for key, v in _central_pbw(a, b):
-            central.add(key, v, coeff)
-    acc = {}
-    for (c, d, e), central in centrals.items():
-        for key, v in _pbw5(pbw_mul(central.result(),
-                                    _pbw_tail(c, d, e))).items():
-            _acc(acc, key, v)
-    bad = {key: v for key, v in acc.items() if key[1]}
-    if bad:
+    mirror = Element({(b, a, c, d, e): v
+                      for (a, b, c, d, e), v in f.terms.items()}, _copy=False)
+    if mirror != f:
         raise NotInAlgebraError(
             "element lies in the square-root extension, not in the algebra",
-            residue=bad)
-    return {(n0, nm, np_, n3): v for (n0, _, nm, np_, n3), v in acc.items()}
+            residue=f - mirror)
+    centrals = defaultdict(sc.SumOfProducts)
+    for (a, b, c, d, e), coeff in f.terms.items():
+        if a >= b:
+            central = centrals[(c, d, e)]
+            for key, v in _prefix_pbw(a, b):
+                central.add(key, v, coeff)
+    acc = {}
+    for (c, d, e), central in centrals.items():
+        for key, v in pbw_mul(central.result(), _pbw_tail(c, d, e)).items():
+            _acc(acc, key, v)
+    return acc
 
 
 def pbw_to_element(pbw):

@@ -346,16 +346,16 @@ def _metric_mix(grad, eta):
     return Gradient(tuple(comps))
 
 
-def contract_d_alembert(f, grad_fn=grad_closed):
-    """The wave operator d_mu d^mu acting on f, via two gradients and the
-    metric contraction sum_{mu nu} eta_{mu nu} d^nu (d^mu f)."""
-    return contract_gradient(grad_fn(f), grad_fn)
+def contract_d_alembert(f):
+    """The wave operator d_mu d^mu acting on f, via two closed gradients
+    and the metric contraction sum_{mu nu} eta_{mu nu} d^nu (d^mu f)."""
+    return contract_gradient(grad_closed(f))
 
 
-def contract_gradient(first, grad_fn=grad_closed):
+def contract_gradient(first):
     """d_mu d^mu f from the first gradient `first` of f: the second
     gradients and the contraction of `contract_d_alembert`."""
     firsts = first.cleared()
-    return al.add_all(grad_fn(firsts[mu]).cleared()[nu].scale(coeff)
+    return al.add_all(grad_closed(firsts[mu]).cleared()[nu].scale(coeff)
                       for (mu, nu), coeff in mx.eta_lower().items()
                       if firsts[mu])

@@ -315,18 +315,11 @@ def basis_change_matrix():
                    (z, z, r, z)])
 
 
+@lru_cache(maxsize=None)
 def _basis_change_pair():
     """(T, T^-1) with T = C^T; rows/cols indexed fourvec x spinor."""
-    two_inv = sc.two_q().inverse()
-    r_over_two = sc.R * two_inv
-    sm1, sm3 = sc.s_power(-1), sc.s_power(-3)
-    z = ZERO
-    # C^-1 assembled from the inverted coordinate relations
-    Cinv = ((z, -sm3 * two_inv, sm1 * two_inv, z),
-            (r_over_two, z, z, z),
-            (z, z, z, r_over_two),
-            (z, sm1 * two_inv * sc.q_power(1), sm1 * two_inv, z))
-    return Matrix(zip(*basis_change_matrix().entries)), Matrix(zip(*Cinv))
+    T = Matrix(zip(*basis_change_matrix().entries))
+    return T, T.inverse()
 
 
 def _conjugate_to_fourvec(mat):

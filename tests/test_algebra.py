@@ -334,17 +334,6 @@ def test_tail_mul_product_matches_pbw_engine():
                 {k: v for k, v in rhs.items() if not v.is_zero()}
 
 
-def _per_term_pbw(f):
-    """to_pbw_x term by term: one pbw_mul per term, 5-tuple keys."""
-    acc = {}
-    for (a, b, c, d, e), coeff in f.terms.items():
-        central = {key: v * coeff for key, v in al._central_pbw(a, b)}
-        for key, v in al._pbw5(al.pbw_mul(central,
-                                          al._pbw_tail(c, d, e))).items():
-            al._acc(acc, key, v)
-    return acc
-
-
 def test_to_pbw_x_equals_sum_of_term_images(monkeypatch):
     rng = random.Random(19)
     central = (x0 + al.xsq_element().scale(sc.q_power(1))) ** 3
@@ -353,10 +342,9 @@ def test_to_pbw_x_equals_sum_of_term_images(monkeypatch):
             + (x0 + x3).scale(lam) ** 4
         tails = {key[2:] for key in f.terms}
         assert len(f.terms) > 2 * len(tails)       # tails are shared
-        want = _per_term_pbw(f)
-        assert not any(key[1] for key in want)
-        want = {(n0, nm, np_, n3): v for (n0, _, nm, np_, n3), v in want.items()}
-        assert al.to_pbw_x(f) == want
+        # PBW monomials are a basis, and pbw_to_element multiplies them
+        # out with the internal engine
+        assert al.pbw_to_element(al.to_pbw_x(f)) == f
         # warm caches, then one pbw_mul per distinct tail
         calls = []
         pbw_mul = al.pbw_mul
@@ -371,13 +359,59 @@ def test_to_pbw_x_equals_sum_of_term_images(monkeypatch):
         assert len(calls) == len(tails)
 
 
+def _mirror(f):
+    """sigma(f): xi+ and xi- swapped in every term."""
+    return al.Element({(b, a, c, d, e): v
+                       for (a, b, c, d, e), v in f.terms.items()})
+
+
 def test_not_in_algebra_detection_with_shared_tails():
+    f = al.monomial(a=1, c=1) + al.monomial(a=2, b=1, c=1)
     with pytest.raises(al.NotInAlgebraError) as err:
-        al.to_pbw_x(al.monomial(a=1, c=1) + al.monomial(a=2, b=1, c=1))
-    assert all(key[1] for key in err.value.residue)
-    # xi+ x+ + xi- x+ = x0 x+: the alpha parts cancel within one tail
+        al.to_pbw_x(f)
+    assert err.value.residue == f - _mirror(f)
+    # xi+ x+ + xi- x+ = x0 x+: the mirror terms share one tail
     assert al.to_pbw_x(al.monomial(a=1, c=1) + al.monomial(b=1, c=1)) == \
         {(1, 0, 1, 0): sc.ONE}
+
+
+def test_to_pbw_x_accepts_exactly_the_symmetric_elements(monkeypatch):
+    rng = random.Random(23)
+    products = []
+    mul = al.Element.__mul__
+
+    def counting_mul(f, g):
+        products.append(1)
+        return mul(f, g)
+
+    raised = 0
+    for _ in range(60):
+        f = _random_terms(rng)
+        if rng.random() < 0.6:
+            f = f + _mirror(f)                     # symmetric
+        monkeypatch.setattr(al.Element, "__mul__", counting_mul)
+        try:
+            pbw = al.to_pbw_x(f)
+        except al.NotInAlgebraError as err:
+            pbw = err
+        monkeypatch.setattr(al.Element, "__mul__", mul)
+        assert isinstance(pbw, al.NotInAlgebraError) == (_mirror(f) != f)
+        if isinstance(pbw, al.NotInAlgebraError):
+            raised += 1
+            assert pbw.residue == f - _mirror(f)
+        else:
+            assert al.pbw_to_element(pbw) == f
+    assert products == []
+    assert 10 < raised < 50
+
+
+def test_power_sums_by_newtons_identities():
+    xixi = al.monomial(a=1, b=1)
+    for k in range(9):
+        got = al.add_all(
+            (x0 ** i * xixi ** j).scale(sc.integer(n))
+            for (i, j), n in al._power_sum(k).items())
+        assert got == al.monomial(a=k) + al.monomial(b=k), k
 
 
 @pytest.mark.parametrize("n", range(1, 10))
