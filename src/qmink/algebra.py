@@ -122,6 +122,8 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
+            if not self.terms or not other.terms:
+                return zero()
             return _mul(self, other)
         if isinstance(other, Scalar):
             return self.scale(other)
@@ -274,8 +276,7 @@ def _tail_mul(c, d, e, c2, d2, e2):
 
 
 def _mul(f, g):
-    if not f.terms or not g.terms:
-        return zero()
+    """f * g for nonzero f and g."""
     if len(f.terms) > 1 and len(g.terms) > 1:
         acc = sc.SumOfProducts()
         mul_into(acc, f, g)
@@ -465,8 +466,13 @@ class Localized:
             b = b * delta_element() ** (n - other.dpow)
         return Localized(a + b, n)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other if isinstance(other, Localized) else -Localized.of(other))
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return Localized(-self.num, self.dpow, _normalize=False)
@@ -496,20 +502,10 @@ class Localized:
         raise DeltaDivisionError(
             f"residual delta^{self.dpow} denominator", remainder=self)
 
-    def divide_by_delta(self, n=1):
-        return Localized(self.num, self.dpow + n)
-
     def __repr__(self):
         if self.dpow == 0:
             return repr(self.num)
         return f"({self.num!r}) / delta^{self.dpow}"
-
-
-def localize_div(f, n):
-    """Divide a Localized (or Element) by delta^n."""
-    if isinstance(f, Element):
-        f = Localized.of(f)
-    return f.divide_by_delta(n)
 
 
 # -- PBW engine ----------------------------------------------------------------

@@ -3,7 +3,6 @@
 
 Subcommands: normalize, derive, lpow, char-check, verify, solve.
 Exit status: 0 success, 1 verification failure, 2 usage or parse error.
-The default verification degree can be overridden with QMINK_MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("suite", choices=("structure", "calculus", "waves", "all"))
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=vf.DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", parents=[common], help="momentum eigenstate series")
@@ -122,8 +121,7 @@ def _check_degree(name, n):
 def cmd_lpow(args):
     _check_degree("power", args.n)
     mat = mx.l_pow_closed(_GEN_ALIASES[args.gen], args.n)
-    rows = [[sf.element_to_str(x.try_clear()) for x in row]
-            for row in mat.entries]
+    rows = [[sf.element_to_str(x) for x in row] for row in mat.entries]
     if args.json:
         print(json.dumps({"dim": 4, "basis": "fourvec", "entries": rows}))
         return 0
@@ -137,12 +135,8 @@ def cmd_char_check(args):
 
 
 def cmd_verify(args):
-    degree = args.max_degree
-    if degree is None:
-        degree = int(os.environ.get("QMINK_MAX_DEGREE",
-                                    vf.DEFAULT_MAX_DEGREE))
-    _check_degree("--max-degree", degree)
-    reports, seconds = vf.run(args.suite, degree)
+    _check_degree("--max-degree", args.max_degree)
+    reports, seconds = vf.run(args.suite, args.max_degree)
     return _report(reports, args.json, seconds=seconds)
 
 

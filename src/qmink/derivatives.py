@@ -25,8 +25,8 @@ Two independent implementations are kept side by side:
   Every term shares the central denominator delta = xi+ - xi-: the
   projectors are (...)/delta.  So each component's numerator is summed
   over delta^1, from cached numerators of Pi+- nabla x0 and of
-  delta (Pi+ q^{2a} + Pi- q^{2b}) (`_pi_weighted`, read from the
-  delta-free `matrices.l0_minus_b`), and divided by delta once, when the
+  delta (Pi+ q^{2a} + Pi- q^{2b}) (`_pi_weighted`, the delta-free Element
+  matrix `matrices.pi_weighted`), and divided by delta once, when the
   component's `Localized` is built.  The central prefix of a term
   commutes past Pi+-, so a central Jackson term is fed as Pi+- nabla x0
   times the term's monomial with its prefix lowered: no product of the
@@ -36,9 +36,9 @@ Both gradients sum, then reduce.  Each component is a
 `scalars.SumOfProducts` fed by `algebra.mul_into`: the coefficient
 products of a term are multiplied out without normalizing, grouped by
 their denominator, and each group is reduced once, when the component is
-built.  The oracle folds the unit q into the L entries once per generator
-(`_q_l_entries`), and sums both its recursion and its outer sum over PBW
-words this way.
+built.  The oracle folds the unit q into the L entries, which are
+Elements, once per generator (`_q_l_entries`), and sums both its
+recursion and its outer sum over PBW words this way.
 
 The wave operator `contract_d_alembert` takes two gradients and contracts
 them with the metric; `contract_gradient` does the same from a first
@@ -196,9 +196,7 @@ _GEN_INDEX = {"x0": 0, "xm": 1, "xp": 2, "x3": 3}
 @lru_cache(maxsize=None)
 def _l_entries(gen):
     """L_{x_gen} as a 4x4 tuple of Elements."""
-    mat = mx.l_matrix(gen)
-    return tuple(tuple(mat.entries[i][j].try_clear() for j in range(4))
-                 for i in range(4))
+    return mx.l_matrix(gen).entries
 
 
 @lru_cache(maxsize=None)
@@ -252,16 +250,9 @@ def _pi_nabla(sign):
 
 @lru_cache(maxsize=None)
 def _pi_weighted(a, b):
-    """delta (Pi+ q^(2a) + Pi- q^(2b)) as a 4x4 tuple of Elements.
-
-    By delta Pi+- = delta/2 +- (L_{x0} - b)/lambda it is delta-free:
-    ((q^(2a) - q^(2b))/lambda) (L_{x0} - b) + ((q^(2a) + q^(2b))/2) delta.
-    """
-    qa, qb = sc.q_power(2 * a), sc.q_power(2 * b)
-    mean = al.delta_element().scale((qa + qb) * sc.rational(1, 2))
-    mat = mx.l0_minus_b().scale((qa - qb) * sc.lambda_().inverse()) + \
-        mx.identity(4, mean)
-    return tuple(tuple(x.try_clear() for x in row) for row in mat.entries)
+    """delta (Pi+ q^(2a) + Pi- q^(2b)) as a 4x4 tuple of Elements
+    (`matrices.pi_weighted`)."""
+    return mx.pi_weighted(sc.q_power(2 * a), sc.q_power(2 * b)).entries
 
 
 def _spatial_gradient_mono(key, coeff):

@@ -238,8 +238,7 @@ def l_matrix_from_structure(alpha):
             for k in range(2):
                 for l in range(2):
                     row.append(al.add_all(
-                        mx.b_matrix(g2).entries[j][l].try_clear()
-                        .scale(c1 * c2)
+                        mx.b_matrix(g2).entries[j][l].scale(c1 * c2)
                         for g1, c1 in components(gen).items()
                         for g2, c2 in _lplus_action(i, k, g1).items()))
             rows.append(row)

@@ -3,9 +3,11 @@ from it: boost and L matrices, closed-form powers, the characteristic
 identity of L_{x0}, spectral projectors and functions of L_{x0}.
 
 `Matrix` is a square matrix over a ring, in the sense of Faddeev,
-Reshetikhin and Takhtajan: either over the coefficient field (`Scalar`
-entries; the R-matrices of `qmink.lorentz`, the basis change) or over the
-delta-localized algebra (`Localized` entries; the L matrices).
+Reshetikhin and Takhtajan, and each entry stays in its own ring: the
+coefficient field (`Scalar` entries; the R-matrices of `qmink.lorentz`,
+the basis change), the algebra (`Element` entries; B, L, their powers and
+f(L_{x0})) or, only where delta is divided, the delta-localized algebra
+(`Localized` entries; the projectors).
 
 Four-vector indices are ordered (0, -, +, 3).  The spinor-pair basis is
 ordered (--, -+, +-, ++); the basis change is the coordinate relation
@@ -22,7 +24,9 @@ L_{x0} satisfies L^2 - [2] x0 L + c = 0 with central roots tau+-, and
 tau+ - tau- = lambda delta.  By Sylvester's formula for two eigenvalues,
 f(L_{x0}) = D_f (L_{x0} - b) + A_f (`l0_minus_b`) with the central divided
 difference D_f = (f(tau+) - f(tau-))/(tau+ - tau-) and the mean A_f =
-(f(tau+) + f(tau-))/2; so Pi+- = 1/2 +- (L_{x0} - b)/(lambda delta).
+(f(tau+) + f(tau-))/2; so Pi+- = 1/2 +- (L_{x0} - b)/(lambda delta), and
+delta (Pi+ w+ + Pi- w-) = ((w+ - w-)/lambda)(L_{x0} - b) + ((w+ + w-)/2) delta
+is delta-free (`pi_weighted`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ __all__ = [
     "b_matrix", "l_matrix", "l_matrix_spinor", "basis_change_matrix",
     "mat_pow_naive", "b_pow_closed", "l_pow_closed",
     "char_check_l0", "char_check_b0", "char_residual",
-    "b_center", "c_center", "tau", "l0_minus_b", "projectors", "f_of_l0",
+    "b_center", "c_center", "tau", "l0_minus_b", "pi_weighted",
+    "projectors", "f_of_l0",
     "chebyshev_s", "pi_nabla_x0", "x_upper", "eta_upper", "eta_lower",
 ]
 
@@ -49,11 +54,11 @@ FOURVEC_INDEX = ("0", "-", "+", "3")
 
 
 class Matrix:
-    """Square matrix over Scalar or over Localized entries (immutable).
+    """Square matrix over Scalar, Element or Localized entries (immutable).
 
-    A matrix stays over Scalar when every entry is a Scalar; otherwise
-    every entry is lifted to Localized.  The product of a Scalar and a
-    Localized matrix is Localized.
+    Entries are kept as given; arithmetic is that of the entries, so the
+    product of a Scalar and an Element matrix is an Element matrix, and a
+    Localized entry makes a product entry Localized.
     """
 
     __slots__ = ("entries",)
@@ -64,9 +69,6 @@ class Matrix:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
-        if not all(isinstance(x, Scalar) for row in entries for x in row):
-            entries = tuple(tuple(_as_localized(x) for x in row)
-                            for row in entries)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, *a):
@@ -101,37 +103,22 @@ class Matrix:
         return Matrix([[-x for x in row] for row in self.entries])
 
     def __mul__(self, other):
+        """M * N; M * x multiplies every entry by x on the right."""
         if isinstance(other, Matrix):
-            zero = _zero_of(self.entries[0][0])
-            if zero is ZERO:
-                zero = _zero_of(other.entries[0][0])
             cols = tuple(zip(*other.entries))
-            return Matrix([[_dot(row, col, zero) for col in cols]
+            return Matrix([[_dot(row, col) for col in cols]
                            for row in self.entries])
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, (Element, Localized)):
-            o = _as_localized(other)
-            return Matrix([[_LOC_ZERO if x.is_zero() else x * o for x in row]
-                           for row in self.entries])
-        return NotImplemented
+        return self.scale(other)
 
     def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, (Element, Localized)):
-            o = _as_localized(other)
-            return Matrix([[_LOC_ZERO if x.is_zero() else o * x for x in row]
-                           for row in self.entries])
-        return NotImplemented
+        return Matrix([[other * x for x in row] for row in self.entries])
 
     def scale(self, c):
         return Matrix([[x * c for x in row] for row in self.entries])
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a sequence of Localized."""
-        vec = [_as_localized(v) for v in vec]
-        return [_dot(row, vec, _LOC_ZERO) for row in self.entries]
+        """Matrix-vector product."""
+        return [_dot(row, vec) for row in self.entries]
 
     def kron(self, other):
         """Kronecker product: entry (i m + k, j m + l) is M[i, j] N[k, l]."""
@@ -164,10 +151,6 @@ class Matrix:
     def is_zero(self):
         return all(x.is_zero() for row in self.entries for x in row)
 
-    def try_clear(self):
-        """Entrywise delta clearing; raises DeltaDivisionError on failure."""
-        return Matrix([[x.try_clear() for x in row] for row in self.entries])
-
     def __repr__(self):
         rows = []
         for row in self.entries:
@@ -175,53 +158,43 @@ class Matrix:
         return "Matrix([\n  " + ",\n  ".join(rows) + "\n])"
 
 
-def _dot(row, col, zero):
-    """Sum of the nonzero products row[t] col[t]; zero when there is none.
+def _dot(row, col):
+    """Sum of the nonzero products row[t] col[t]; row[0] col[0], the zero
+    of their ring, when there is none.
 
-    A sum of two or more products is reduced once: over Localized, the
+    A sum of two or more products is reduced once.  Over Localized, the
     numerators are summed over the largest delta power of the products and
     divided by delta once."""
     pairs = [(a, b) for a, b in zip(row, col)
              if not a.is_zero() and not b.is_zero()]
     if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else zero
+        return pairs[0][0] * pairs[0][1] if pairs else row[0] * col[0]
     acc = sc.SumOfProducts()
-    if zero is ZERO:
+    if all(isinstance(x, Scalar) for pair in pairs for x in pair):
         for a, b in pairs:
             acc.add(0, a, b)
         return acc.result().get(0, ZERO)
-    pairs = [(_as_localized(a), _as_localized(b)) for a, b in pairs]
-    n = max(a.dpow + b.dpow for a, b in pairs)
-    for a, b in pairs:
-        k = n - a.dpow - b.dpow
-        al.mul_into(acc, a.num * al.delta_element() ** k if k else a.num,
-                    b.num)
-    return Localized(Element(acc.result(), _copy=False), n)
+    localized = any(isinstance(x, Localized) for pair in pairs for x in pair)
+    pairs = [(_num_dpow(a), _num_dpow(b)) for a, b in pairs]
+    n = max(da + db for (_, da), (_, db) in pairs)
+    for (a, da), (b, db) in pairs:
+        k = n - da - db
+        al.mul_into(acc, a * al.delta_element() ** k if k else a, b)
+    num = Element(acc.result(), _copy=False)
+    return Localized(num, n) if localized else num
 
 
-def _as_localized(x):
+def _num_dpow(x):
+    """x as (Element numerator, power of delta below it)."""
     if isinstance(x, Localized):
-        return x
-    if isinstance(x, Element):
-        return Localized.of(x)
-    if isinstance(x, Scalar):
-        return Localized.of(al.one().scale(x))
-    raise TypeError(f"cannot coerce {type(x).__name__} to Localized")
+        return x.num, x.dpow
+    return (x, 0) if isinstance(x, Element) else (al.one().scale(x), 0)
 
 
-_LOC_ZERO = Localized.of(al.zero())
-_LOC_ONE = Localized.of(al.one())
-
-
-def _zero_of(x):
-    """The zero of the ring of x: Scalar or Localized."""
-    return ZERO if isinstance(x, Scalar) else _LOC_ZERO
-
-
-def identity(dim, one=_LOC_ONE):
-    """The unit matrix over the ring of `one`: Localized by default,
-    Scalar for identity(dim, ONE); identity(dim, x) is x times it."""
-    zero = _zero_of(one)
+def identity(dim, one=al.one()):
+    """The unit matrix over the ring of `one`: Element by default, Scalar
+    for identity(dim, ONE); identity(dim, x) is x times it."""
+    zero = one * ZERO
     return Matrix([[one if i == j else zero for j in range(dim)]
                    for i in range(dim)])
 
@@ -236,7 +209,7 @@ def mat_pow_naive(mat, n):
 
 def _block_upper(a, b, d):
     """The 4x4 matrix [[a, b], [0, d]] of 2x2 blocks; b None is zero."""
-    z = (_LOC_ZERO, _LOC_ZERO)
+    z = (al.zero(), al.zero())
     top = (z, z) if b is None else b.entries
     return Matrix([a.entries[0] + top[0], a.entries[1] + top[1],
                    z + d.entries[0], z + d.entries[1]])
@@ -378,11 +351,19 @@ def l0_minus_b():
     return l_matrix("x0") - identity(4, b_center())
 
 
+def pi_weighted(wp, wm):
+    """delta (Pi+ wp + Pi- wm) for Scalars wp, wm, a delta-free Element
+    matrix: ((wp - wm)/lambda) (L_{x0} - b) + ((wp + wm)/2) delta."""
+    mean = al.delta_element().scale((wp + wm) * sc.rational(1, 2))
+    return l0_minus_b().scale((wp - wm) * sc.lambda_().inverse()) + \
+        identity(4, mean)
+
+
 def projectors():
     """(Pi+, Pi-) = 1/2 +- (L_{x0} - b)/(lambda delta), delta-localized."""
-    half = identity(4).scale(sc.rational(1, 2))
-    core = l0_minus_b() * Localized(al.one().scale(sc.lambda_().inverse()), 1)
-    return half + core, half - core
+    return tuple(Matrix([[Localized(x, 1) for x in row]
+                         for row in pi_weighted(wp, wm).entries])
+                 for wp, wm in ((ONE, ZERO), (ZERO, ONE)))
 
 
 def f_of_l0(coeffs):
@@ -445,7 +426,7 @@ def _cayley_pow(mat, n):
     sn = chebyshev_s(n)
     snm1 = chebyshev_s(n - 1)
     c = c_center()
-    return mat * Localized.of(sn) - identity(mat.dim, Localized.of(c * snm1))
+    return mat * sn - identity(mat.dim, c * snm1)
 
 
 def l_pow_closed(alpha, n):
@@ -488,8 +469,8 @@ def l_pow_closed(alpha, n):
 def char_residual(mat):
     """M^2 - [2] x0 M + ((x0)^2 + lambda^2/[2]^2 x^2) 1."""
     two = sc.two_q()
-    return (mat * mat) - (mat * Localized.of(al.x0_element().scale(two))) + \
-        identity(mat.dim, Localized.of(c_center()))
+    return (mat * mat) - (mat * al.x0_element().scale(two)) + \
+        identity(mat.dim, c_center())
 
 
 def char_check_l0():

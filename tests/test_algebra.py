@@ -158,10 +158,9 @@ def test_localized_normalization():
 
 
 def test_localize_div():
-    one = al.Localized.of(al.one())
-    v = al.localize_div(one, 0)
+    v = al.Localized(al.one(), 0)
     assert v.dpow == 0 and v.num == al.one()
-    w = al.localize_div(one, 2)
+    w = al.Localized(al.one(), 2)
     assert w.dpow == 2
     # multiplying back by delta^2 clears
     cleared = w * (al.delta_element() ** 2)
@@ -175,6 +174,16 @@ def test_localized_arithmetic():
     s = a * delta + b * delta                      # 1 + x0
     assert s.dpow == 0 and s.num == al.one() + x0
     assert (a - a).is_zero()
+
+
+def test_element_plus_or_minus_localized():
+    x = al.Localized(al.monomial(a=1), 1)              # xi+ / delta
+    one = al.one()
+    assert one + x == x + one == al.Localized(al.delta_element() + x.num, 1)
+    assert one - x == al.Localized(al.delta_element() - x.num, 1)
+    assert one - x == -(x - one)
+    assert (one + x).dpow == 1
+    assert (x.num - x * al.delta_element()).is_zero()
 
 
 def test_localized_add_zero_keeps_operand():

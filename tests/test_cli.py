@@ -223,13 +223,6 @@ def test_verify_calculus_small_degree(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QMINK_MAX_DEGREE", "2")
-    code, out = run(capsys, "verify", "calculus")
-    assert code == 0
-    assert "degree <= 2" in out
-
-
 def test_solve_massless(capsys):
     code, out = run(capsys, "solve", "massless", "--degree", "4", "--verify")
     assert code == 0
@@ -312,9 +305,15 @@ def test_verify_json_records_and_timings(capsys):
      "aba174b064b1e55ad04f0711c3a3d16ae9fa7902c8a3fefb6dfeaea634808215"),
     (["normalize", "(x0/m + xm/(m+k) + xp/(q+2))^5"],
      "3cd19a1d5f6a7f8173ae1ab81b4118e1ea6312221bc7611fc5e7b23b07f32555"),
+    # every component keeps a delta^1 denominator
+    (["derive", "xip*xp"],
+     "13415743b615478f1054a04595c3de0fc421a6005cd1828ce72d6cab00572572"),
+    (["derive", "--json", "xip*xp"],
+     "7be6fd189d0e5eee1c1bed232a3fc4f7cd8fee972f386b8236e01e09547aa3db"),
 ], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
         "normalize-mk", "massless-16", "massive-12", "massive-20",
-        "normalize-mk-5", "normalize-mixed-5"])
+        "normalize-mk-5", "normalize-mixed-5", "derive-delta",
+        "derive-delta-json"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
