@@ -449,6 +449,8 @@ class Localized:
         return self.dpow == other.dpow and self.num == other.num
 
     def __add__(self, other):
+        if isinstance(other, Scalar):
+            other = monomial(coeff=other)
         if isinstance(other, Element):
             other = Localized.of(other)
         if not isinstance(other, Localized):
@@ -469,7 +471,7 @@ class Localized:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Localized) else -Localized.of(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return -self + other

@@ -32,6 +32,11 @@ Two independent implementations are kept side by side:
   times the term's monomial with its prefix lowered: no product of the
   prefix with Pi+- is formed and reduced on its own.
 
+Every Jackson term multiplies its coefficient by [[n]] through
+`scalars.mul_qnum_std`: the factors Phi_d of [[n]] are known, so those
+the coefficient's denominator holds cancel from its split and the others
+multiply its numerator, with no trial division.
+
 Both gradients sum, then reduce.  Each component is a
 `scalars.SumOfProducts` fed by `algebra.mul_into`: the coefficient
 products of a term are multiplied out without normalizing, grouped by
@@ -178,7 +183,7 @@ def _jackson_terms(terms, slot):
         n = exps[slot]
         if n:
             al._acc(out, exps[:slot] + (n - 1,) + exps[slot + 1:],
-                    coeff * sc.qnum_std(n))
+                    sc.mul_qnum_std(coeff, n))
     return out
 
 
@@ -261,12 +266,14 @@ def _spatial_gradient_mono(key, coeff):
     a, b, c, d, e = key
     comps = [al.zero()] * 4
     if c:
-        comps[2] = al.monomial(a, b, c - 1, d, e, coeff=coeff * sc.qnum_std(c))
+        comps[2] = al.monomial(a, b, c - 1, d, e,
+                               coeff=sc.mul_qnum_std(coeff, c))
     if d:
-        el = al.monomial(a, b, c, d - 1, e, coeff=coeff * sc.qnum_std(d))
+        el = al.monomial(a, b, c, d - 1, e, coeff=sc.mul_qnum_std(coeff, d))
         comps[3], comps[0] = el, -el      # nabla x30 = e_3 - e_0
     if e:
-        comps[1] = al.monomial(a, b, c, d, e - 1, coeff=coeff * sc.qnum_std(e))
+        comps[1] = al.monomial(a, b, c, d, e - 1,
+                               coeff=sc.mul_qnum_std(coeff, e))
     return comps
 
 
@@ -286,12 +293,14 @@ def grad_closed(f):
         # central Jackson terms against nabla xi+- = Pi+- nabla x0; the
         # central prefix commutes past Pi+-, so it rides on the monomial
         if a:
-            mono = al.monomial(a - 1, b, c, d, e, coeff=coeff * sc.qnum_std(a))
+            mono = al.monomial(a - 1, b, c, d, e,
+                               coeff=sc.mul_qnum_std(coeff, a))
             for acc, pi in zip(accs, pi_plus):
                 if pi:
                     al.mul_into(acc, pi, mono)
         if b:
-            mono = al.monomial(a, b - 1, c, d, e, coeff=coeff * sc.qnum_std(b))
+            mono = al.monomial(a, b - 1, c, d, e,
+                               coeff=sc.mul_qnum_std(coeff, b))
             for acc, pi in zip(accs, pi_minus):
                 if pi:
                     al.mul_into(acc, pi, mono)

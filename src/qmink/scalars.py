@@ -38,6 +38,18 @@ anything, as one factor when it is linear in a variable, else by sympy's
 `factor_list`, imported only then.  The splits are cached by primitive
 part.
 
+A product with [[n]], the coefficient of every Jackson derivative, is
+formed by `mul_qnum_std` from the known factors of [[n]]: each Phi_d that
+the split holds comes off it, one power each, and the numerator is
+multiplied by the product of the other Phi_d of [[n]].  The result is
+reduced without trial division: the Phi_d multiplied in are irreducible
+and absent from the new split, and, monic with constant term 1, they
+change neither sign nor content.  A dense product of Phi_d's, read for a
+`den`, a cofactor over an lcm or [[n]]'s remaining factors, is built from
+the binomials s^k - 1 of the Moebius formula, each multiplied in one
+shifted difference of lists, or divided top-down with q_j = p_(j+k) +
+q_(j+k).
+
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
 out only the integer content: s and i are units, so the product shares no
@@ -59,13 +71,15 @@ conversion and the alpha expansion of a central Element.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, log
 
 __all__ = [
     "Scalar", "PoleError", "NotRationalError",
     "ZERO", "ONE", "I", "R", "M", "K",
     "integer", "rational", "q_power", "s_power", "qnum_sym", "qnum_std",
-    "qfactorial_std", "lambda_", "two_q", "subst_classical", "SumOfProducts",
+    "mul_qnum_std", "qfactorial_std", "lambda_", "two_q", "subst_classical",
+    "SumOfProducts",
 ]
 
 _NKEY0 = (0, 0, 0, 0, 0)
@@ -699,15 +713,6 @@ _PHI = {}
 _COFACTORS = {}
 
 
-def _mul_zs(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return out
-
-
 def _div_monic(a, g):
     """Quotient of the s-polynomial a by the monic g, which must divide it."""
     deg = len(g) - 1
@@ -734,18 +739,35 @@ def _binomials(d):
     return out
 
 
+def _mul_binom(p, k):
+    """p (s^k - 1) for the little-endian coefficient list p: one shifted
+    difference."""
+    return [a - b for a, b in zip([0] * k + p, p + [0] * k)]
+
+
+def _div_binom(p, k):
+    """p / (s^k - 1), top-down: q_j = p_(j+k) + q_(j+k), a suffix sum over
+    each residue class of j mod k.  Raises ArithmeticError unless the k low
+    remainder terms p_j + q_j vanish (q_j = 0 past the quotient)."""
+    q = p[k:]
+    for r in range(min(k, len(q))):
+        q[r::k] = list(accumulate(q[r::k][::-1]))[::-1]
+    if any(a + b for a, b in zip(p, q[:k])) or any(p[len(q):k]):
+        raise ArithmeticError("inexact division by s^k - 1")
+    return q
+
+
 def _phi_product(split):
     """prod Phi_d(s)^e_d as a little-endian coefficient list, built from
-    binomials s^k - 1, each multiplied or divided in one pass."""
+    binomials s^k - 1, each multiplied or divided in one shifted pass."""
     powers = {}
     for d, e in split:
         for k, mu in _binomials(d):
             powers[k] = powers.get(k, 0) + mu * e
     out = [1]
     for k, f in sorted(powers.items(), key=lambda kf: -kf[1]):  # divide last
-        binom = [-1] + [0] * (k - 1) + [1]
         for _ in range(abs(f)):
-            out = _mul_zs(binom, out) if f > 0 else _div_monic(out, binom)
+            out = _mul_binom(out, k) if f > 0 else _div_binom(out, k)
     return out
 
 
@@ -989,6 +1011,7 @@ K = Scalar({(0, 0, 1, 0, 0): 1})
 _QNUM_SYM = {}
 _QNUM_STD = {}
 _QFACT = {}
+_QNUM_SPLIT = {}
 
 
 def lambda_():
@@ -1026,6 +1049,40 @@ def qnum_std(n):
     return out
 
 
+def _qnum_split(n):
+    """The split of [[n]] = prod Phi_d(s) over d | 4n, d not dividing 4."""
+    out = _QNUM_SPLIT.get(n)
+    if out is None:
+        out = _QNUM_SPLIT[n] = tuple((d, 1) for d in range(3, 4 * n + 1)
+                                     if 4 * n % d == 0 and d != 4)
+    return out
+
+
+def mul_qnum_std(x, n):
+    """x * [[n]], from the known factors of [[n]] and no trial division.
+
+    Each Phi_d of [[n]] that the split of x holds comes off the split, one
+    power each, and the numerator is multiplied by the product of the
+    others.  The result is reduced as it stands: x was, the Phi_d
+    multiplied in are irreducible and absent from the new split, and,
+    monic with constant term 1, they change neither the sign nor (Gauss's
+    lemma) the content of the numerator."""
+    if not n or not x.num:
+        return ZERO
+    held = dict(x.split)
+    rest = []
+    for d, _ in _qnum_split(n):
+        if d in held:
+            held[d] -= 1
+        else:
+            rest.append((d, 1))
+    num = x.num
+    if rest:
+        num = _nmul(num, _den_as_num(_split_den(1, tuple(rest))))
+    return _split_scalar(num, x._c, tuple(fe for fe in held.items() if fe[1]),
+                         normalize=False)
+
+
 def qfactorial_std(n):
     """[[n]]! = [[n]] [[n-1]] ... [[1]]."""
     if n < 0:
@@ -1036,11 +1093,10 @@ def qfactorial_std(n):
         _QFACT[n] = out
         if n:
             # register the split of [[n]]! = [[n-1]]! [[n]], which its
-            # inverse will need; [[n]] is prod Phi_d over d | 4n, d not | 4
+            # inverse will need
             _SPLITS[_primitive(_num_real_part(out.num))[1]] = _add_splits(
                 _den_split(_num_real_part(qfactorial_std(n - 1).num))[1],
-                tuple((d, 1) for d in range(3, 4 * n + 1)
-                      if 4 * n % d == 0 and d != 4))
+                _qnum_split(n))
     return out
 
 

@@ -186,6 +186,16 @@ def test_element_plus_or_minus_localized():
     assert (x.num - x * al.delta_element()).is_zero()
 
 
+def test_localized_plus_or_minus_scalar():
+    x = al.Localized(al.monomial(a=1), 1)              # xi+ / delta
+    one = al.one()
+    assert x + sc.ONE == sc.ONE + x == x + one
+    assert x - sc.ONE == x - one == al.Localized(al.monomial(b=1), 1)
+    assert sc.ONE - x == one - x
+    for total in (x + sc.ONE, sc.ONE + x, x - sc.ONE, sc.ONE - x):
+        assert isinstance(total.num, al.Element) and total.dpow == 1
+
+
 def test_localized_add_zero_keeps_operand():
     x = al.Localized(al.monomial(a=1), 1)
     zero = al.Localized.of(al.zero())

@@ -150,7 +150,7 @@ def _eval_scalar(x):
 
 @given(st.lists(st.sampled_from("+-*i"), min_size=1, max_size=12),
        st.integers(0, 2 ** 32))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_scalar_arithmetic_matches_point_evaluation(ops, seed):
     import random as _random
     rng = _random.Random(seed)
@@ -305,6 +305,16 @@ def _div_zs(a, g):
             a[j + t] -= qc * gv
     if any(a):
         raise ArithmeticError("inexact s-polynomial division")
+    return out
+
+
+def _mul_zs(a, b):
+    """Product of integer s-polynomials (lists, little-endian)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                out[i + j] += av * bv
     return out
 
 
@@ -466,7 +476,7 @@ def test_phi_divides_matches_exact_division():
         for _ in range(3):
             r = [rng.randint(-4, 4) for _ in range(rng.randint(1, 12))]
             r[-1] = r[-1] or 1
-            for p in (r, sc._mul_zs(r, phi)):
+            for p in (r, _mul_zs(r, phi)):
                 shift = rng.randint(-30, 30)
                 terms = [(j + shift, v) for j, v in enumerate(p) if v]
                 g = _gcd_zs(p, phi)
@@ -481,7 +491,7 @@ def test_cyclotomic_products_from_binomials():
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = sc._mul_zs(prod, sc._cyclotomic(d))
+                prod = _mul_zs(prod, sc._cyclotomic(d))
         assert prod == [-1] + [0] * (n - 1) + [1]
         # phi(n), the degree of Phi_n
         assert sum(k * mu for k, mu in sc._binomials(n)) == \
@@ -492,8 +502,59 @@ def test_cyclotomic_products_from_binomials():
         want = [1]
         for d, e in split:
             for _ in range(e):
-                want = sc._mul_zs(want, sc._cyclotomic(d))
+                want = _mul_zs(want, sc._cyclotomic(d))
         assert sc._phi_product(split) == want
+
+
+def _phi_product_reference(split):
+    """prod Phi_d^e_d from the binomials s^k - 1, each multiplied by a
+    dense product or divided by `_div_monic`."""
+    powers = {}
+    for d, e in split:
+        for k, mu in sc._binomials(d):
+            powers[k] = powers.get(k, 0) + mu * e
+    out = [1]
+    for k, f in sorted(powers.items(), key=lambda kf: -kf[1]):
+        binom = [-1] + [0] * (k - 1) + [1]
+        for _ in range(abs(f)):
+            out = _mul_zs(binom, out) if f > 0 else sc._div_monic(out, binom)
+    return out
+
+
+def test_phi_product_matches_the_dense_reference():
+    rng = random.Random(23)
+    splits = [((2000, 1),), ((1, 1), (2, 2), (4, 1)), ((16, 1), (80, 1),
+                                                      (400, 1), (2000, 1))]
+    for _ in range(40):
+        ds = sorted(rng.sample(range(1, 2001), rng.randint(1, 4)))
+        splits.append(tuple((d, rng.randint(1, 2)) for d in ds))
+    for split in splits:
+        assert sc._phi_product(split) == _phi_product_reference(split), split
+
+
+def test_binomial_division_rejects_an_inexact_quotient():
+    rng = random.Random(29)
+    for k in (1, 2, 3, 7, 40):
+        for _ in range(10):
+            p = [rng.randint(-5, 5) for _ in range(rng.randint(1, 60))]
+            p[-1] = p[-1] or 1
+            multiple = sc._mul_binom(p, k)
+            assert multiple == _mul_zs([-1] + [0] * (k - 1) + [1], p)
+            assert sc._div_binom(multiple, k) == p
+            # one low term off: the remainder is that term
+            bad = list(multiple)
+            bad[rng.randrange(k)] += 1
+            with pytest.raises(ArithmeticError):
+                sc._div_binom(bad, k)
+    # quotients shorter than k, or empty
+    for p, k in (([1, 1], 1), ([1, 0, 1], 5), ([1, 0, 0, 1], 2),
+                 ([2, 0, 0, 0, 0, 0, 1], 5)):
+        with pytest.raises(ArithmeticError):
+            sc._div_binom(p, k)
+    assert sc._div_binom([-1, 0, 0, 0, 0, 1], 5) == [1]
+    assert sc._div_binom([-1, -1, 0, 0, 0, 1, 1], 5) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        sc._phi_product(((3, -1),))
 
 
 def test_split_from_scratch_stops_at_its_largest_order():
@@ -514,7 +575,7 @@ def test_split_from_scratch_stops_at_its_largest_order():
     assert max(got[1])[0] == 992
     # (s + 2) Phi_300 is not: the search stops at the bound, and the factor
     # of the rest that is Phi_300 gets the id 300
-    odd = sc._mul_zs([2, 1], sc._cyclotomic(300))
+    odd = _mul_zs([2, 1], sc._cyclotomic(300))
     den = {(j, 0, 0): v for j, v in enumerate(odd) if v}
     assert sc._split_from_scratch(den) == ((), den)
     split = sc.Scalar(sc.ONE.num, den).split
@@ -874,3 +935,66 @@ def test_unequal_split_scalars_compare_without_dense_denominators(
         assert x.split is not None and y.split is not None
         assert x != y and not x == y
     assert calls == []
+
+
+# -- multiplication by [[n]] through the split --------------------------------
+#
+# Each input is [[j]]!^-1 times an atom, and its mirror value is built from
+# the point values alone, so the check does not go through Scalar.
+
+def _qn_at(n):
+    """[[n]] at the point, as a mirror value."""
+    return (sum(_SPT ** (4 * j) for j in range(n)),) + (Fraction(0),) * 3
+
+
+def _qnum_inputs():
+    zero = Fraction(0)
+    atoms = [(sc.M, (_MPT, zero, zero, zero)),
+             (sc.I, (zero, Fraction(1), zero, zero)),
+             (sc.R, (zero, zero, Fraction(1), zero)),
+             ((sc.M + sc.K).inverse(), (1 / (_MPT + _KPT), zero, zero, zero))]
+    out = [(_LAM.inverse(), (1 / (_SPT ** 2 - _SPT ** -2),) + (zero,) * 3)]
+    fact = (Fraction(1), zero, zero, zero)
+    for j in range(12):
+        fact = _quad_mul(fact, _qn_at(j)) if j else fact
+        inv = _quad_inv(fact)
+        out += [(sc.qfactorial_std(j).inverse() * x, _quad_mul(inv, mx))
+                for x, mx in atoms]
+    return out
+
+
+def test_mul_qnum_std_equals_the_product():
+    for x, _ in _qnum_inputs():
+        for n in range(18):
+            want = x * sc.qnum_std(n)
+            got = sc.mul_qnum_std(x, n)
+            assert (got.num, got._c, got.split) == \
+                (want.num, want._c, want.split), (x, n)
+            _assert_split(got)
+
+
+def test_mul_qnum_std_matches_point_evaluation():
+    for x, mirror in _qnum_inputs():
+        for n in range(18):
+            assert _eval_scalar(sc.mul_qnum_std(x, n)) == \
+                _quad_mul(mirror, _qn_at(n)), (x, n)
+
+
+def test_mul_qnum_std_never_trial_divides(monkeypatch):
+    calls = []
+    cancel = sc._cancel_phis
+
+    def counting(*args):
+        calls.append(1)
+        return cancel(*args)
+
+    inputs = [x for x, _ in _qnum_inputs()]
+    monkeypatch.setattr(sc, "_cancel_phis", counting)
+    for x in inputs:
+        for n in range(18):
+            sc.mul_qnum_std(x, n)
+    assert calls == []
+    # the generic product trial-divides the same inputs
+    for x in inputs:
+        x * sc.qnum_std(5)
+    assert calls
