@@ -57,6 +57,7 @@ __all__ = [
 SURFACE_GENS = ("x0", "xm", "xp", "x3")
 _Q2 = sc.q_power(2)
 _QM2 = sc.q_power(-2)
+_MINUS_ONE = sc.integer(-1)
 
 
 class NotInAlgebraError(ValueError):
@@ -188,10 +189,16 @@ _ONE_EL = Element({(0, 0, 0, 0, 0): ONE}, _copy=False)
 # form.  `_mul` then only scales the cached table and shifts the central
 # prefix.
 
+@lru_cache(maxsize=None)
+def _q_over_two(n):
+    """q^n / [2], computed on first use and kept."""
+    return sc.q_power(n) * sc.two_q().inverse()
+
+
 def _append_xp(terms):
     """Right-multiply by x+."""
     two = sc.two_q()
-    q2_over_two = _Q2 * two.inverse()
+    q2_over_two = _q_over_two(2)
     out = {}
     for (a, b, c, d, e), coeff in terms.items():
         if e == 0:
@@ -220,7 +227,7 @@ def _append_x30(terms):
 
 def _append_xm(terms):
     two = sc.two_q()
-    qm2_over_two = _QM2 * two.inverse()
+    qm2_over_two = _q_over_two(-2)
     qm1 = sc.q_power(-1)
     out = {}
     for (a, b, c, d, e), coeff in terms.items():
@@ -371,6 +378,13 @@ def scale_kappa(f):
 def div_central(f, g):
     """Exact division by a central polynomial g (keys (a, b) only).
 
+    Long division of each tail's central polynomial, greatest (a, b)
+    first: the lead term of the work comes off as a quotient term, and
+    the rest of g times it is subtracted.  A lead coefficient of +-1 is
+    not inverted, and each +-1 coefficient of g is applied by its sign, so
+    dividing by delta = xi+ - xi- costs one Scalar addition per quotient
+    term: along each total degree n, q_(n-1-j, j) = sum_(i<=j) p_(n-i, i).
+
     Returns the quotient; raises DeltaDivisionError with the remainder
     attached when g does not divide f.
     """
@@ -382,8 +396,10 @@ def div_central(f, g):
     if not gterms:
         raise ZeroDivisionError("division by the zero Element")
     glead = max(gterms)
-    gcoef = gterms[glead]
-    ginv = gcoef.inverse()
+    gcoef = gterms.pop(glead)
+    sign = _unit_sign(gcoef)
+    ginv = None if sign else gcoef.inverse()
+    grest = [(ga, gb, _unit_sign(gv), gv) for (ga, gb), gv in gterms.items()]
 
     groups = {}
     for (a, b, c, d, e), coeff in f.terms.items():
@@ -391,8 +407,7 @@ def div_central(f, g):
 
     quot = {}
     rem = {}
-    for tail, poly in groups.items():
-        work = dict(poly)
+    for tail, work in groups.items():
         while work:
             lead = max(work)
             qa, qb = lead[0] - glead[0], lead[1] - glead[1]
@@ -400,14 +415,24 @@ def div_central(f, g):
                 # leading term not reducible: move it to the remainder
                 rem[lead + tail] = work.pop(lead)
                 continue
-            qc = work[lead] * ginv
+            qc = work.pop(lead)        # the lead cancels exactly: drop it
+            if sign < 0:
+                qc = -qc
+            elif not sign:
+                qc = qc * ginv
             quot[(qa, qb) + tail] = qc
-            for (ga, gb), gv in gterms.items():
-                _acc(work, (qa + ga, qb + gb), -(qc * gv))
+            for ga, gb, gs, gv in grest:
+                _acc(work, (qa + ga, qb + gb),
+                     qc if gs < 0 else -qc if gs else -(qc * gv))
     if rem:
         raise DeltaDivisionError("central division is inexact",
                                  remainder=Element(rem))
     return Element(quot, _copy=False)
+
+
+def _unit_sign(x):
+    """1 or -1 for the Scalar +-1, else 0."""
+    return 1 if x == ONE else -1 if x == _MINUS_ONE else 0
 
 
 # -- localization --------------------------------------------------------------

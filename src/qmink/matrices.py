@@ -360,10 +360,15 @@ def pi_weighted(wp, wm):
 
 
 def projectors():
-    """(Pi+, Pi-) = 1/2 +- (L_{x0} - b)/(lambda delta), delta-localized."""
-    return tuple(Matrix([[Localized(x, 1) for x in row]
-                         for row in pi_weighted(wp, wm).entries])
-                 for wp, wm in ((ONE, ZERO), (ZERO, ONE)))
+    """(Pi+, Pi-) = 1/2 +- (L_{x0} - b)/(lambda delta), delta-localized.
+
+    Pi- = 1 - Pi+: its off-diagonal entries are those of Pi+ negated, and
+    only its diagonal is divided by delta anew."""
+    plus = [[Localized(x, 1) for x in row]
+            for row in pi_weighted(ONE, ZERO).entries]
+    minus = [[ONE - x if i == j else -x for j, x in enumerate(row)]
+             for i, row in enumerate(plus)]
+    return Matrix(plus), Matrix(minus)
 
 
 def f_of_l0(coeffs):

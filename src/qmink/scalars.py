@@ -78,7 +78,8 @@ __all__ = [
     "Scalar", "PoleError", "NotRationalError",
     "ZERO", "ONE", "I", "R", "M", "K",
     "integer", "rational", "q_power", "s_power", "qnum_sym", "qnum_std",
-    "mul_qnum_std", "qfactorial_std", "lambda_", "two_q", "subst_classical",
+    "mul_qnum_std", "qfactorial_std", "qfactorial_inverse", "lambda_", "two_q",
+    "subst_classical",
     "SumOfProducts",
 ]
 
@@ -1011,6 +1012,7 @@ K = Scalar({(0, 0, 1, 0, 0): 1})
 _QNUM_SYM = {}
 _QNUM_STD = {}
 _QFACT = {}
+_QFACT_INV = {}
 _QNUM_SPLIT = {}
 
 
@@ -1097,6 +1099,14 @@ def qfactorial_std(n):
             _SPLITS[_primitive(_num_real_part(out.num))[1]] = _add_splits(
                 _den_split(_num_real_part(qfactorial_std(n - 1).num))[1],
                 _qnum_split(n))
+    return out
+
+
+def qfactorial_inverse(n):
+    """1 / [[n]]!, inverted once per n and kept."""
+    out = _QFACT_INV.get(n)
+    if out is None:
+        out = _QFACT_INV[n] = qfactorial_std(n).inverse()
     return out
 
 

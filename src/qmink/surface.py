@@ -33,6 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import scalars as sc
 from .scalars import Scalar
@@ -518,15 +519,25 @@ def _poly_str(terms):
     return out or "0"
 
 
+@lru_cache(maxsize=64)
+def _den_text(c, split):
+    """The text of the denominator c times the product of the split's
+    factors, built from the split, so printing never fills a Scalar's
+    `den`.  The bound keeps the texts of a deep solve's many large
+    denominators from piling up; the repeats of one printed element are
+    near one another."""
+    return _poly_str(((es, em, ek, 0, 0), v)
+                     for (es, em, ek), v in sc._split_den(c, split).items())
+
+
 def scalar_to_str(x):
     """Fully parenthesized canonical rendering, q = s^2."""
     if not x.num:
         return "(0)"
     nstr = _poly_str(x.num.items())
-    if len(x.den) == 1 and (0, 0, 0) in x.den and x.den[(0, 0, 0)] == 1:
+    dstr = _den_text(x._c, x.split)
+    if dstr == "1":
         return f"({nstr})"
-    dstr = _poly_str(((es, em, ek, 0, 0), v)
-                     for (es, em, ek), v in x.den.items())
     return f"(({nstr})/({dstr}))"
 
 

@@ -8,7 +8,8 @@ e_q(i m xi+) e_q(i m xi-) of central series, whose degree-d slice
     (i m)^d  sum_{a+b=d}  xi+^a xi-^b / ([[a]]! [[b]]!)
 
 is symmetric under xi+ <-> xi-, hence a polynomial in x0 and x^2: the
-square root drops out of the expansion.
+square root drops out of the expansion.  Each 1/[[n]]! is inverted once
+per n and kept (`scalars.qfactorial_inverse`).
 
 Verification compares degree slices, so the eigenvalue equations are graded
 identities; the algebra carries no topology in which the full series could
@@ -111,7 +112,7 @@ def qexp(z, n_max):
     power = al.one()
     for n in range(1, n_max + 1):
         power = power * z
-        slices.append(power.scale(sc.qfactorial_std(n).inverse()))
+        slices.append(power.scale(sc.qfactorial_inverse(n)))
     return TruncatedSeries(tuple(slices), n_max)
 
 
@@ -204,9 +205,9 @@ def central_alpha_expansion(el):
     """Expand a central Element through xi+- = (x0 +- alpha)/2.
 
     Returns a dict {(x0 exponent, alpha exponent): Scalar} without reducing
-    alpha^2, so parity of the square root is visible."""
+    alpha^2, so parity of the square root is visible.  A term adds its
+    coefficient times one rational weight n / 2^(a+b) to each key."""
     from math import comb
-    half = sc.rational(1, 2)
     acc = sc.SumOfProducts()
     for (a, b, c, d, e), coeff in el.terms.items():
         if c or d or e:
@@ -216,8 +217,7 @@ def central_alpha_expansion(el):
         for u in range(a + 1):
             for v in range(b + 1):
                 ints[u + v] += comb(a, u) * comb(b, v) * (-1) ** (b - v)
-        base = coeff * half ** (a + b)
         for j, n in enumerate(ints):
             if n:
-                acc.add((j, a + b - j), base, sc.integer(n))
+                acc.add((j, a + b - j), coeff, sc.rational(n, 2 ** (a + b)))
     return acc.result()

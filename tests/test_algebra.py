@@ -146,6 +146,102 @@ def test_delta_division():
     assert err.value.remainder is not None
 
 
+def _div_central_reference(f, g):
+    """Long division by a central g that inverts g's lead coefficient and
+    cancels each lead term by arithmetic (the form div_central replaced)."""
+    gterms = {key[:2]: coeff for key, coeff in g.terms.items()}
+    glead = max(gterms)
+    ginv = gterms[glead].inverse()
+    groups = {}
+    for (a, b, c, d, e), coeff in f.terms.items():
+        groups.setdefault((c, d, e), {})[(a, b)] = coeff
+    quot, rem = {}, {}
+    for tail, work in groups.items():
+        while work:
+            lead = max(work)
+            qa, qb = lead[0] - glead[0], lead[1] - glead[1]
+            if qa < 0 or qb < 0:
+                rem[lead + tail] = work.pop(lead)
+                continue
+            qc = work[lead] * ginv
+            quot[(qa, qb) + tail] = qc
+            for (ga, gb), gv in gterms.items():
+                al._acc(work, (qa + ga, qb + gb), -(qc * gv))
+    if rem:
+        raise al.DeltaDivisionError("inexact", remainder=al.Element(rem))
+    return al.Element(quot)
+
+
+_COEFFS = (sc.ONE, -sc.ONE, sc.integer(3), sc.rational(-2, 5), sc.M,
+           sc.q_power(2) * sc.I, sc.qnum_std(3).inverse(), lam * sc.R)
+
+
+def _rand_tailed_element(rng, nterms):
+    """A sum of central prefixes times tails x+^c x30^d x-^e."""
+    terms = []
+    for _ in range(nterms):
+        c, e = rng.choice([(rng.randint(1, 2), 0), (0, rng.randint(0, 2))])
+        terms.append(al.monomial(rng.randint(0, 4), rng.randint(0, 4), c,
+                                 rng.randint(0, 1), e,
+                                 coeff=rng.choice(_COEFFS)))
+    return al.add_all(terms)
+
+
+_DIVISORS = {
+    "delta": al.delta_element(),
+    "minus-delta": -al.delta_element(),
+    "delta-squared": al.delta_element() ** 2,
+    "xi-plus": al.monomial(a=1),
+    "xsq": al.xsq_element(),
+    "two-xi-plus-minus-xi-minus": al.monomial(a=1, coeff=two)
+    - al.monomial(b=1),
+}
+
+
+@pytest.mark.parametrize("name", _DIVISORS)
+def test_div_central_matches_the_long_division(name):
+    g = _DIVISORS[name]
+    rng = random.Random(sorted(_DIVISORS).index(name))
+    exact = 0
+    for trial in range(12):
+        h = _rand_tailed_element(rng, rng.randint(1, 6))
+        f = [h, g * h, g * h + _rand_tailed_element(rng, 1)][trial % 3]
+        try:
+            want = _div_central_reference(f, g)
+        except al.DeltaDivisionError as err:
+            with pytest.raises(al.DeltaDivisionError) as got:
+                al.div_central(f, g)
+            assert got.value.remainder == err.remainder
+        else:
+            assert al.div_central(f, g) == want
+            exact += 1
+    assert exact >= 4
+
+
+def test_dividing_by_delta_makes_no_product_or_inverse(monkeypatch):
+    delta = al.delta_element()
+    rng = random.Random(11)
+    cases = [(_rand_tailed_element(rng, 6), k) for k in (1, 2, 3)]
+    products = [(h * delta ** k, k) for h, k in cases]
+    calls = []
+    for name in ("inverse", "__mul__"):
+        orig = getattr(sc.Scalar, name)
+
+        def counting(*args, _orig=orig):
+            calls.append(1)
+            return _orig(*args)
+
+        monkeypatch.setattr(sc.Scalar, name, counting)
+    quotients = []
+    for f, k in products:
+        for _ in range(k):
+            f = al.div_central(f, delta)
+        quotients.append(f)
+    assert not calls
+    monkeypatch.undo()
+    assert quotients == [h for h, _ in cases]
+
+
 def test_localized_normalization():
     f = (al.monomial(a=2) - al.monomial(b=2)) * al.monomial(d=1)
     loc = al.Localized(f, 1)

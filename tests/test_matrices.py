@@ -128,6 +128,37 @@ def test_projector_identities():
     assert pp * pp == pp and pm * pm == pm
 
 
+def _localized_entries(wp, wm):
+    """The entries of Pi+ wp + Pi- wm, each divided by delta on its own."""
+    return [[al.Localized(x, 1) for x in row]
+            for row in mx.pi_weighted(wp, wm).entries]
+
+
+def test_pi_minus_is_one_minus_pi_plus(monkeypatch):
+    calls = []
+    div = al.div_central
+
+    def counting(*args):
+        calls.append(1)
+        return div(*args)
+
+    def count(build):
+        del calls[:]
+        out = build()
+        return out, len(calls)
+
+    monkeypatch.setattr(al, "div_central", counting)
+    (pp, pm), fast = count(mx.projectors)
+    want, slow = count(lambda: [_localized_entries(sc.ONE, sc.ZERO),
+                                _localized_entries(sc.ZERO, sc.ONE)])
+    assert fast < slow
+    for i in range(4):
+        for j in range(4):
+            for got, entry in ((pp, want[0][i][j]), (pm, want[1][i][j])):
+                assert got[i, j].dpow == entry.dpow
+                assert got[i, j].num == entry.num
+
+
 # sha256 of the repr of the functions of L_x0 read from l0_minus_b, pinned
 # from their earlier entry-by-entry construction.  The closed-gradient
 # weights and the projectors share that matrix, so comparing them with each

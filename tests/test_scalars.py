@@ -973,6 +973,13 @@ def test_mul_qnum_std_equals_the_product():
             _assert_split(got)
 
 
+def test_qfactorial_inverse_is_the_inverse():
+    for n in range(20):
+        got, want = sc.qfactorial_inverse(n), sc.qfactorial_std(n).inverse()
+        assert (got.num, got._c, got.split) == (want.num, want._c, want.split)
+        assert sc.qfactorial_inverse(n) is got
+
+
 def test_mul_qnum_std_matches_point_evaluation():
     for x, mirror in _qnum_inputs():
         for n in range(18):

@@ -162,6 +162,36 @@ def test_scalar_string_round_trip(n, d, es, em, ei, er):
     assert sf.scalar_to_str(back) == text
 
 
+def _scalar_to_str_from_den(x):
+    """scalar_to_str rendered from the dense `den`, as it was before the
+    denominator text was kept per (c, split)."""
+    nstr = sf._poly_str(x.num.items())
+    if x.den == {(0, 0, 0): 1}:
+        return f"({nstr})"
+    dstr = sf._poly_str(((es, em, ek, 0, 0), v)
+                        for (es, em, ek), v in x.den.items())
+    return f"(({nstr})/({dstr}))"
+
+
+def test_scalar_to_str_matches_the_dense_denominator():
+    mk = sc.M + sc.K
+    numerators = (sc.ONE, -sc.I * sc.M, sc.q_power(3) + sc.R)
+    denominators = (sc.ONE, sc.integer(6), sc.M, sc.K * sc.integer(4),
+                    mk, mk * mk * sc.integer(3), sc.qfactorial_std(7),
+                    sc.qnum_std(5) * sc.qnum_std(12) * sc.M * sc.integer(10),
+                    sc.two_q() * sc.lambda_() * mk,
+                    sc.M + sc.q_power(1))
+    for num in numerators:
+        for den in denominators:
+            x = num / den
+            filled = x._den is not None
+            text = sf.scalar_to_str(x)
+            assert (x._den is not None) == filled     # printing leaves it
+            assert text == _scalar_to_str_from_den(x), (num, den)
+            assert sf.scalar_to_str(x * sc.ONE) == text
+    assert sf._den_text(1, ()) == "1"
+
+
 def test_zero_prints():
     assert sf.element_to_str(al.zero()) == "0"
     assert sf.parse_element("0").is_zero()

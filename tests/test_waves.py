@@ -23,6 +23,17 @@ def test_qexp_jackson_eigenfunction():
         assert lhs == series.slice(d - 1).scale(c)
 
 
+@pytest.mark.parametrize("z", [al.monomial(a=1, coeff=sc.I * sc.M),
+                               al.monomial(d=1, coeff=-sc.I * sc.K),
+                               al.monomial(e=1, coeff=sc.rational(2, 3))])
+def test_qexp_slices_scale_by_the_inverse_factorial(z):
+    series = wv.qexp(z, 12)
+    power = al.one()
+    for n in range(13):
+        assert series.slice(n) == power.scale(sc.qfactorial_std(n).inverse())
+        power = power * z
+
+
 def test_qexp_classical_limit():
     series = wv.qexp(al.monomial(d=1), 6)
     for n in range(7):
