@@ -22,20 +22,21 @@ Two independent implementations are kept side by side:
   operator itself).  Partial Jackson derivatives act on ordered monomials
   only; the standalone `OrderedPoly` makes the ordering explicit.
 
-  Every term shares the central denominator delta = xi+ - xi-: the
-  projectors are (...)/delta.  So each component's numerator is summed
-  over delta^1, from cached numerators of Pi+- nabla x0 and of
-  delta (Pi+ q^{2a} + Pi- q^{2b}) (`_pi_weighted`, the delta-free Element
-  matrix `matrices.pi_weighted`), and divided by delta once, when the
-  component's `Localized` is built.  The central prefix of a term
-  commutes past Pi+-, so a central Jackson term is fed as Pi+- nabla x0
-  times the term's monomial with its prefix lowered: no product of the
-  prefix with Pi+- is formed and reduced on its own.
+  `grad_closed` is one loop: each term takes one Jackson step per
+  nonzero exponent, and the lowered monomial is multiplied by that
+  slot's vector of numerators over delta = xi+ - xi-, all read from the
+  delta-free Element matrix `matrices.pi_weighted`: Pi+- nabla x0
+  (column 0 of delta Pi+-, `_pi_nabla`) for xi+-, and
+  delta (Pi+ q^{2a} + Pi- q^{2b}) on e_+, e_3 - e_0 or e_- (`_pi_column`)
+  for x+, x30, x-.  Each component's numerator is summed over delta^1
+  and divided by delta once, when its `Localized` is built.  The central
+  prefix commutes past the projectors, so it rides on the monomial and
+  is never multiplied by Pi+- on its own.
 
-Every Jackson term multiplies its coefficient by [[n]] through
-`scalars.mul_qnum_std`: the factors Phi_d of [[n]] are known, so those
-the coefficient's denominator holds cancel from its split and the others
-multiply its numerator, with no trial division.
+Each Jackson step (`_jackson_step`) multiplies its coefficient by [[n]]
+through `scalars.mul_qnum_std`: the factors Phi_d of [[n]] are known, so
+those the coefficient's denominator holds cancel from its split and the
+others multiply its numerator, with no trial division.
 
 Both gradients sum, then reduce.  Each component is a
 `scalars.SumOfProducts` fed by `algebra.mul_into`: the coefficient
@@ -180,11 +181,16 @@ def _jackson_terms(terms, slot):
     """The Jackson derivative in the exponent at `slot` of a term dict."""
     out = {}
     for exps, coeff in terms.items():
-        n = exps[slot]
-        if n:
-            al._acc(out, exps[:slot] + (n - 1,) + exps[slot + 1:],
-                    sc.mul_qnum_std(coeff, n))
+        if exps[slot]:
+            al._acc(out, *_jackson_step(exps, coeff, slot))
     return out
+
+
+def _jackson_step(exps, coeff, slot):
+    """One Jackson step at `slot` of a term with exps[slot] = n > 0:
+    (exps with n -> n - 1, coeff * [[n]])."""
+    n = exps[slot]
+    return exps[:slot] + (n - 1,) + exps[slot + 1:], sc.mul_qnum_std(coeff, n)
 
 
 def subst_xi_scale(f, plus=0, minus=0):
@@ -248,9 +254,10 @@ def grad_oracle(f):
 
 @lru_cache(maxsize=None)
 def _pi_nabla(sign):
-    """Numerators of Pi+- nabla x0, as Elements; every component keeps
-    its delta^1 denominator."""
-    return tuple(x.num for x in mx.pi_nabla_x0(sign))
+    """Numerators of Pi+- nabla x0 = Pi+- e_0 over delta^1, as Elements:
+    column 0 of delta Pi+- (`matrices.pi_weighted`)."""
+    weights = (sc.ONE, sc.ZERO) if sign > 0 else (sc.ZERO, sc.ONE)
+    return tuple(row[0] for row in mx.pi_weighted(*weights).entries)
 
 
 @lru_cache(maxsize=None)
@@ -260,21 +267,15 @@ def _pi_weighted(a, b):
     return mx.pi_weighted(sc.q_power(2 * a), sc.q_power(2 * b)).entries
 
 
-def _spatial_gradient_mono(key, coeff):
-    """Jackson-rule gradient of a single basis monomial's spatial word,
-    keeping the central prefix; returns a 4-list of Elements."""
-    a, b, c, d, e = key
-    comps = [al.zero()] * 4
-    if c:
-        comps[2] = al.monomial(a, b, c - 1, d, e,
-                               coeff=sc.mul_qnum_std(coeff, c))
-    if d:
-        el = al.monomial(a, b, c, d - 1, e, coeff=sc.mul_qnum_std(coeff, d))
-        comps[3], comps[0] = el, -el      # nabla x30 = e_3 - e_0
-    if e:
-        comps[1] = al.monomial(a, b, c, d, e - 1,
-                               coeff=sc.mul_qnum_std(coeff, e))
-    return comps
+@lru_cache(maxsize=None)
+def _pi_column(slot, a, b):
+    """delta (Pi+ q^(2a) + Pi- q^(2b)) nabla x for the spatial variable x
+    at `slot`: nabla x+ = e_+, nabla x30 = e_3 - e_0, nabla x- = e_-."""
+    rows = _pi_weighted(a, b)
+    if slot == 3:
+        return tuple(row[3] - row[0] for row in rows)
+    col = 2 if slot == 2 else 1
+    return tuple(row[col] for row in rows)
 
 
 def grad_closed(f):
@@ -286,31 +287,18 @@ def grad_closed(f):
     if isinstance(f, Localized):
         f = f.try_clear()
     accs = [sc.SumOfProducts() for _ in range(4)]   # numerators over delta^1
-    pi_plus = _pi_nabla(+1)
-    pi_minus = _pi_nabla(-1)
+    central = (_pi_nabla(+1), _pi_nabla(-1))
     for key, coeff in f.terms.items():
-        a, b, c, d, e = key
-        # central Jackson terms against nabla xi+- = Pi+- nabla x0; the
-        # central prefix commutes past Pi+-, so it rides on the monomial
-        if a:
-            mono = al.monomial(a - 1, b, c, d, e,
-                               coeff=sc.mul_qnum_std(coeff, a))
-            for acc, pi in zip(accs, pi_plus):
-                if pi:
-                    al.mul_into(acc, pi, mono)
-        if b:
-            mono = al.monomial(a, b - 1, c, d, e,
-                               coeff=sc.mul_qnum_std(coeff, b))
-            for acc, pi in zip(accs, pi_minus):
-                if pi:
-                    al.mul_into(acc, pi, mono)
-        # spatial Jackson terms, twisted by delta (Pi+ q^(2a) + Pi- q^(2b))
-        spatial = _spatial_gradient_mono(key, coeff)
-        if any(spatial):
-            for acc, row in zip(accs, _pi_weighted(a, b)):
-                for w, x in zip(row, spatial):
-                    if w and x:
-                        al.mul_into(acc, w, x)
+        for slot, n in enumerate(key):
+            if not n:
+                continue
+            vec = central[slot] if slot < 2 else \
+                _pi_column(slot, key[0], key[1])
+            low, c = _jackson_step(key, coeff, slot)
+            mono = Element({low: c}, _copy=False)
+            for acc, x in zip(accs, vec):
+                if x:
+                    al.mul_into(acc, x, mono)
     return Gradient(tuple(Localized(Element(acc.result(), _copy=False), 1)
                           for acc in accs))
 
@@ -330,20 +318,17 @@ def delta_correction(f):
 # -- metric operations ------------------------------------------------------------
 
 def raise_index(grad):
-    """G_mu -> G^mu = eta^{mu nu} G_nu (componentwise scalar mixing)."""
-    return _metric_mix(grad, mx.eta_upper())
+    """G_mu -> G^mu = eta^{mu nu} G_nu (componentwise scalar mixing).
 
-
-def lower_index(grad):
-    """G^mu -> G_mu = eta_{mu nu} G^nu."""
-    return _metric_mix(grad, mx.eta_lower())
-
-
-def _metric_mix(grad, eta):
+    The metric is its own inverse, so lowering is the same map;
+    `lower_index` is an alias of this function."""
     comps = [_LZERO] * 4
-    for (mu, nu), coeff in eta.items():
+    for (mu, nu), coeff in mx.eta_upper().items():
         comps[mu] = comps[mu] + grad.components[nu] * coeff
     return Gradient(tuple(comps))
+
+
+lower_index = raise_index
 
 
 def contract_d_alembert(f):

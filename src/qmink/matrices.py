@@ -351,12 +351,17 @@ def l0_minus_b():
     return l_matrix("x0") - identity(4, b_center())
 
 
+@lru_cache(maxsize=None)
+def _l0_minus_b_over_lambda():
+    """(L_{x0} - b)/lambda, the part of `pi_weighted` shared by all weights."""
+    return l0_minus_b().scale(sc.lambda_().inverse())
+
+
 def pi_weighted(wp, wm):
     """delta (Pi+ wp + Pi- wm) for Scalars wp, wm, a delta-free Element
     matrix: ((wp - wm)/lambda) (L_{x0} - b) + ((wp + wm)/2) delta."""
     mean = al.delta_element().scale((wp + wm) * sc.rational(1, 2))
-    return l0_minus_b().scale((wp - wm) * sc.lambda_().inverse()) + \
-        identity(4, mean)
+    return _l0_minus_b_over_lambda().scale(wp - wm) + identity(4, mean)
 
 
 def projectors():
@@ -568,7 +573,8 @@ def x_upper(mu):
 
 
 def pi_nabla_x0(sign):
-    """The explicit vector (Pi+- nabla x0)^mu = (xi+- d^mu_0 -+ x^mu/(q[2]))/delta."""
+    """The explicit vector (Pi+- nabla x0)^mu = (xi+- d^mu_0 -+ x^mu/(q[2]))/delta,
+    the paper's form of column 0 of `pi_weighted`, which tests check."""
     coeff = (sc.q_power(1) * sc.two_q()).inverse()
     out = []
     for mu in range(4):

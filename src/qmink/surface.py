@@ -325,6 +325,8 @@ def _eval(node):
     if isinstance(node, Pow):
         base = _eval(node.base)
         exp = node.exponent
+        if base == sc.q_power(1) and exp.denominator <= 2:
+            return sc.s_power(2 * exp.numerator // exp.denominator)
         if abs(exp) > MAX_INPUT_DEGREE and not _is_monomial(base):
             raise ParseError(f"exponent {exp} exceeds the limit "
                              f"{MAX_INPUT_DEGREE} on a base other than a "
@@ -339,8 +341,6 @@ def _eval(node):
         if exp.denominator == 1:
             return base ** int(exp)
         if exp.denominator == 2:
-            if base == sc.q_power(1):
-                return sc.s_power(int(exp * 2))
             if base == sc.two_q():
                 if exp == Fraction(1, 2):
                     return sc.R

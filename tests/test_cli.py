@@ -310,13 +310,16 @@ def test_verify_json_records_and_timings(capsys):
      "13415743b615478f1054a04595c3de0fc421a6005cd1828ce72d6cab00572572"),
     (["derive", "--json", "xip*xp"],
      "7be6fd189d0e5eee1c1bed232a3fc4f7cd8fee972f386b8236e01e09547aa3db"),
+    # a Jackson step in every exponent slot; every component keeps delta^1
+    (["derive", "r*xi+^2*xi-*x30^2*x- + i*xi-*x+^3"],
+     "5aa7cfc699c0b3914b92c01a19a2b4a6491614bab0c062ad2e1ffbcfc26e7324"),
     # a deep massive state as text, whose denominators are printed dense
     (["solve", "massive", "--degree", "24", "--verify"],
      "10c4771b935d25ac163ccf0083459d4b15348bc507543bbeb5c3d77c7bf80659"),
 ], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
         "normalize-mk", "massless-16", "massive-12", "massive-20",
         "normalize-mk-5", "normalize-mixed-5", "derive-delta",
-        "derive-delta-json", "massive-24"])
+        "derive-delta-json", "derive-every-slot", "massive-24"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

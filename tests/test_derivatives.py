@@ -250,19 +250,38 @@ def _ref_oracle_word(word):
 
 
 def _ref_grad_closed(f):
+    # Pi+- nabla x0 from the paper's explicit vector, and each spatial
+    # Jackson term against nabla x+ = e_+, nabla x30 = e_3 - e_0 and
+    # nabla x- = e_-, with coeff * [[n]] reduced as a plain product
+    nabla_xi = {}
+    for sign in (+1, -1):
+        vec = mx.pi_nabla_x0(sign)
+        assert all(x.dpow == 1 for x in vec)
+        nabla_xi[sign] = [x.num for x in vec]
     nums = [al.zero()] * 4
     for (a, b, c, d, e), coeff in f.terms.items():
         tail = al.monomial(0, 0, c, d, e)
         if a:
             pref = al.monomial(a - 1, b, coeff=coeff * sc.qnum_std(a))
             nums = [n + pref * pi * tail
-                    for n, pi in zip(nums, dv._pi_nabla(+1))]
+                    for n, pi in zip(nums, nabla_xi[+1])]
         if b:
             pref = al.monomial(a, b - 1, coeff=coeff * sc.qnum_std(b))
             nums = [n + pref * pi * tail
-                    for n, pi in zip(nums, dv._pi_nabla(-1))]
-        spatial = dv._spatial_gradient_mono((a, b, c, d, e), coeff)
-        for mu, row in enumerate(dv._pi_weighted(a, b)):
+                    for n, pi in zip(nums, nabla_xi[-1])]
+        spatial = [al.zero()] * 4
+        if c:
+            spatial[2] = al.monomial(a, b, c - 1, d, e,
+                                     coeff=coeff * sc.qnum_std(c))
+        if d:
+            step = al.monomial(a, b, c, d - 1, e, coeff=coeff * sc.qnum_std(d))
+            spatial[3] = spatial[3] + step
+            spatial[0] = spatial[0] - step
+        if e:
+            spatial[1] = al.monomial(a, b, c, d, e - 1,
+                                     coeff=coeff * sc.qnum_std(e))
+        weighted = mx.pi_weighted(sc.q_power(2 * a), sc.q_power(2 * b))
+        for mu, row in enumerate(weighted.entries):
             for w, x in zip(row, spatial):
                 nums[mu] = nums[mu] + w * x
     return dv.Gradient(tuple(al.Localized(n, 1) for n in nums))
@@ -299,7 +318,24 @@ def test_closed_gradient_equals_the_per_product_reference():
     monos = [al.monomial(a, b, c, d, e)
              for a, b, c, d, e in itertools.product(range(5), repeat=5)
              if a + b + c + d + e <= 4 and not (c and e)]
-    for el in monos + basis_monomials(4):
+    # terms that share a tail, with coefficients over distinct
+    # denominators, whose products meet in the keys of the x30 column
+    mk = sc.M * (sc.M + sc.K).inverse()
+    third = sc.qnum_std(3).inverse()
+    shared = [
+        al.add_all([al.monomial(2, 1, 0, 2, 1, coeff=mk),
+                    al.monomial(1, 2, 0, 2, 1, coeff=third),
+                    al.monomial(0, 1, 0, 2, 1, coeff=sc.I),
+                    al.monomial(1, 0, 0, 2, 1, coeff=sc.R)]),
+        al.add_all([al.monomial(1, 1, 1, 3, 0, coeff=third),
+                    al.monomial(2, 0, 1, 3, 0, coeff=sc.R),
+                    al.monomial(0, 2, 1, 3, 0, coeff=mk * sc.I)]),
+        al.add_all([al.monomial(d=2, coeff=sc.I),
+                    al.monomial(a=1, d=2, coeff=mk),
+                    al.monomial(b=1, d=2, coeff=third),
+                    al.monomial(1, 1, 0, 1, 0, coeff=sc.R)]),
+    ]
+    for el in monos + basis_monomials(4) + shared:
         assert grad_eq(dv.grad_closed(el), _ref_grad_closed(el)), el
 
 

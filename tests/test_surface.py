@@ -69,6 +69,24 @@ def test_half_exponents_on_q_only():
         sf.parse_scalar("m^(1/2)")
 
 
+def test_negative_powers_of_q_invert_nothing(monkeypatch):
+    calls = []
+    inverse = sc.Scalar.inverse
+
+    def counting(self):
+        calls.append(1)
+        return inverse(self)
+
+    monkeypatch.setattr(sc.Scalar, "inverse", counting)
+    el = sf.parse_element("(-4*q^(-1)) * xp * x0")
+    x = sf.parse_scalar("q^-3")
+    assert not calls
+    monkeypatch.undo()
+    assert el == (al.gen_element("xp") * al.gen_element("x0")).scale(
+        sc.integer(-4) * sc.q_power(-1))
+    assert x == sc.q_power(-3)
+
+
 @pytest.mark.parametrize("text", ["x0 * (xm", "x0 +", "x0^", "x0^(2", ""])
 def test_truncated_input_is_reported_as_such(text):
     with pytest.raises(sf.ParseError, match="unexpected end of input"):
