@@ -138,17 +138,7 @@ class Element:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        if n == 0:
-            return one()
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return sc.power(self, n) if n else one()
 
     def scale(self, c):
         if c.is_zero() or not self.terms:
@@ -330,33 +320,26 @@ def xsq_element():
     return monomial(a=1, b=1, coeff=sc.two_q() ** 2)
 
 
-_GEN_ELEMENTS = {}
-
-
+@lru_cache(maxsize=None)
 def gen_element(name):
     """Surface generator as an internal Element."""
-    el = _GEN_ELEMENTS.get(name)
-    if el is None:
-        if name == "x0":
-            el = x0_element()
-        elif name == "xm":
-            el = monomial(e=1)
-        elif name == "xp":
-            el = monomial(c=1)
-        elif name == "x30":
-            el = monomial(d=1)
-        elif name == "x3":
-            el = monomial(d=1) + x0_element()
-        elif name == "xsq":
-            el = xsq_element()
-        elif name == "xip":
-            el = monomial(a=1)
-        elif name == "xim":
-            el = monomial(b=1)
-        else:
-            raise KeyError(f"unknown generator {name!r}")
-        _GEN_ELEMENTS[name] = el
-    return el
+    if name == "x0":
+        return x0_element()
+    if name == "xm":
+        return monomial(e=1)
+    if name == "xp":
+        return monomial(c=1)
+    if name == "x30":
+        return monomial(d=1)
+    if name == "x3":
+        return monomial(d=1) + x0_element()
+    if name == "xsq":
+        return xsq_element()
+    if name == "xip":
+        return monomial(a=1)
+    if name == "xim":
+        return monomial(b=1)
+    raise KeyError(f"unknown generator {name!r}")
 
 
 def from_surface_word(word):

@@ -428,9 +428,8 @@ def b_pow_closed(alpha, n):
 
 
 def _cayley_pow(mat, n):
-    """M^n = S_n M - c S_{n-1} from the characteristic equation of B/L_{x0}."""
-    if n == 0:
-        return identity(mat.dim)
+    """M^n = S_n M - c S_{n-1} from the characteristic equation of B/L_{x0},
+    for n >= 1."""
     if n == 1:
         return mat
     sn = chebyshev_s(n)

@@ -50,6 +50,11 @@ the binomials s^k - 1 of the Moebius formula, each multiplied in one
 shifted difference of lists, or divided top-down with q_j = p_(j+k) +
 q_(j+k).
 
+The inverse q-factorial 1/[[n]]! is 1 over the split of [[n]]!, the
+splits of [[1]] .. [[n]] added: no dense [[n]]! is built and nothing is
+inverted.  Each memo of this module is a `functools.lru_cache`, whose
+`cache_info()` reads its size.
+
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
 out only the integer content: s and i are units, so the product shares no
@@ -71,6 +76,7 @@ conversion and the alpha expansion of a central Element.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, log
 
@@ -79,7 +85,7 @@ __all__ = [
     "ZERO", "ONE", "I", "R", "M", "K",
     "integer", "rational", "q_power", "s_power", "qnum_sym", "qnum_std",
     "mul_qnum_std", "qfactorial_std", "qfactorial_inverse", "lambda_", "two_q",
-    "subst_classical",
+    "subst_classical", "power",
     "SumOfProducts",
 ]
 
@@ -235,14 +241,7 @@ class Scalar:
         c1, c2 = self._c, other._c
         if c1 == c2 and s1 == s2:
             return _split_scalar(_nadd(self.num, other.num), c1, s1)
-        # over the lcm: lcm(c1, c2), the elementwise max of the splits
-        g = gcd(c1, c2)
-        split = _max_splits(s1, s2)
-        n = _nadd(_nmul(self.num, _den_as_num(
-                      _split_den(c2 // g, _div_splits(split, s1)))),
-                  _nmul(other.num, _den_as_num(
-                      _split_den(c1 // g, _div_splits(split, s2)))))
-        return _split_scalar(n, c1 // g * c2, split)
+        return _over_lcm(((self.num, c1, s1), (other.num, c2, s2)))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -283,17 +282,7 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return ONE
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(self, n) if n else ONE
 
     def inverse(self):
         if not self.num:
@@ -478,22 +467,26 @@ class SumOfProducts:
         groups = {}
         for (key, c, split), num in self._groups.items():
             if num:
-                groups.setdefault(key, []).append((c, split, num))
+                groups.setdefault(key, []).append((num, c, split))
         for key, group in groups.items():
-            c, split, num = group[0]
-            if len(group) > 1:
-                # over the lcm: the c's lcm, the splits' elementwise max
-                for c2, split2, _ in group[1:]:
-                    c = c // gcd(c, c2) * c2
-                    split = _max_splits(split, split2)
-                num = {}
-                for c2, split2, num2 in group:
-                    _nmul_into(num, num2, _den_as_num(_split_den(
-                        c // c2, _div_splits(split, split2))))
-            self._reduce(key, _split_scalar(num, c, split))
+            self._reduce(key, _over_lcm(group) if len(group) > 1
+                         else _split_scalar(*group[0]))
         out = {key: x for key, x in self._sums.items() if x.num}
         self._lone, self._groups, self._sums = {}, {}, {}
         return out
+
+
+def power(x, n):
+    """x ** n for n >= 1 by repeated squaring: n.bit_length() - 1 squarings
+    and one product per further set bit of n."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 # -- normalization ----------------------------------------------------------
@@ -516,6 +509,21 @@ def _split_scalar(num, c, split, normalize=True):
     if normalize:
         num, c, split = _normalize_split(num, c, split)
     return _init(object.__new__(Scalar), num, None, c, split)
+
+
+def _over_lcm(parts):
+    """The reduced sum of the fractions num / (c prod F^e), given as (num,
+    c, split), over their lcm: the lcm of the c's times the elementwise
+    maximum of the splits, each numerator times its cofactor."""
+    _, c, split = parts[0]
+    for _, c2, split2 in parts[1:]:
+        c = c // gcd(c, c2) * c2
+        split = _max_splits(split, split2)
+    num = {}
+    for num2, c2, split2 in parts:
+        _nmul_into(num, num2, _den_as_num(
+            _split_den(c // c2, _div_splits(split, split2))))
+    return _split_scalar(num, c, split)
 
 
 def _normalize_split(num, c, split):
@@ -696,9 +704,8 @@ def _at_235(p):
 # lowest monomial, is kept in _FACTORS: m is -1, k is -2, and any other
 # factor gets the next negative id when first seen.  Only a fresh
 # denominator (an inverse, read text) is looked up in _SPLITS, by its
-# primitive part (content and sign divided out).  The q-factorials, whose
-# inverses the q-exponentials take, and the products of _split_den register
-# theirs there.
+# primitive part (content and sign divided out).  The q-factorials and the
+# products of _split_den register theirs there.
 
 _SPLITS = {}
 _PRODUCTS = {(): _DEN_ONE}  # split -> its product of factors, c = 1
@@ -710,8 +717,6 @@ _FACTOR_IDS = {frozenset(f.items()): fid for fid, f in _FACTORS.items()}
 # L * (L + terms), so a larger order is tried only while what is left could
 # be a product of Phi_d's.
 _SCRATCH_MAX_ORDER = 256
-_PHI = {}
-_COFACTORS = {}
 
 
 def _div_monic(a, g):
@@ -772,11 +777,10 @@ def _phi_product(split):
     return out
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic(d):
     """Phi_d(s) as a little-endian coefficient list."""
-    if d not in _PHI:
-        _PHI[d] = _phi_product(((d, 1),))
-    return _PHI[d]
+    return _phi_product(((d, 1),))
 
 
 def _phi_divides(terms, d):
@@ -799,20 +803,18 @@ def _phi_divides(terms, d):
     return f[k:] + f[:k] == f
 
 
+@lru_cache(maxsize=None)
 def _prime_cofactors(d):
     """The d/p for the primes p dividing d."""
-    out = _COFACTORS.get(d)
-    if out is None:
-        out, m, p = [], d, 2
-        while m > 1:
-            if p * p > m:
-                p = m
-            if m % p == 0:
-                out.append(d // p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        _COFACTORS[d] = out
+    out, m, p = [], d, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            out.append(d // p)
+            while m % p == 0:
+                m //= p
+        p += 1
     return out
 
 
@@ -1009,12 +1011,6 @@ R = Scalar({(0, 0, 0, 0, 1): 1})
 M = Scalar({(0, 1, 0, 0, 0): 1})
 K = Scalar({(0, 0, 1, 0, 0): 1})
 
-_QNUM_SYM = {}
-_QNUM_STD = {}
-_QFACT = {}
-_QFACT_INV = {}
-_QNUM_SPLIT = {}
-
 
 def lambda_():
     """lambda = q - q^(-1)."""
@@ -1026,38 +1022,29 @@ def two_q():
     return qnum_sym(2)
 
 
+@lru_cache(maxsize=None)
 def qnum_sym(n):
     """Symmetric quantum number [n] = (q^n - q^(-n)) / (q - q^(-1))."""
     if n < 0:
         raise ValueError("quantum number of negative integer")
-    out = _QNUM_SYM.get(n)
-    if out is None:
-        # Laurent polynomial q^(n-1) + q^(n-3) + ... + q^(1-n)
-        out = Scalar({(2 * j, 0, 0, 0, 0): 1
-                      for j in range(n - 1, -n - 1, -2)}) if n else ZERO
-        _QNUM_SYM[n] = out
-    return out
+    # Laurent polynomial q^(n-1) + q^(n-3) + ... + q^(1-n)
+    return Scalar({(2 * j, 0, 0, 0, 0): 1
+                   for j in range(n - 1, -n - 1, -2)}) if n else ZERO
 
 
+@lru_cache(maxsize=None)
 def qnum_std(n):
     """Standard bracket number [[n]] = 1 + q^2 + ... + q^(2(n-1))."""
     if n < 0:
         raise ValueError("quantum number of negative integer")
-    out = _QNUM_STD.get(n)
-    if out is None:
-        out = Scalar({(4 * j, 0, 0, 0, 0): 1 for j in range(n)}) \
-            if n else ZERO
-        _QNUM_STD[n] = out
-    return out
+    return Scalar({(4 * j, 0, 0, 0, 0): 1 for j in range(n)}) if n else ZERO
 
 
+@lru_cache(maxsize=None)
 def _qnum_split(n):
     """The split of [[n]] = prod Phi_d(s) over d | 4n, d not dividing 4."""
-    out = _QNUM_SPLIT.get(n)
-    if out is None:
-        out = _QNUM_SPLIT[n] = tuple((d, 1) for d in range(3, 4 * n + 1)
-                                     if 4 * n % d == 0 and d != 4)
-    return out
+    return tuple((d, 1) for d in range(3, 4 * n + 1)
+                 if 4 * n % d == 0 and d != 4)
 
 
 def mul_qnum_std(x, n):
@@ -1085,29 +1072,34 @@ def mul_qnum_std(x, n):
                          normalize=False)
 
 
+@lru_cache(maxsize=None)
+def _qfactorial_split(n):
+    """The split of [[n]]! = [[n-1]]! [[n]]: every [[j]], j <= n, is a
+    product of Phi_d's."""
+    return _add_splits(_qfactorial_split(n - 1), _qnum_split(n)) if n else ()
+
+
+@lru_cache(maxsize=None)
 def qfactorial_std(n):
     """[[n]]! = [[n]] [[n-1]] ... [[1]]."""
     if n < 0:
         raise ValueError("factorial of negative integer")
-    out = _QFACT.get(n)
-    if out is None:
-        out = ONE if n == 0 else qfactorial_std(n - 1) * qnum_std(n)
-        _QFACT[n] = out
-        if n:
-            # register the split of [[n]]! = [[n-1]]! [[n]], which its
-            # inverse will need
-            _SPLITS[_primitive(_num_real_part(out.num))[1]] = _add_splits(
-                _den_split(_num_real_part(qfactorial_std(n - 1).num))[1],
-                _qnum_split(n))
+    if not n:
+        return ONE
+    out = qfactorial_std(n - 1) * qnum_std(n)
+    # register the split of [[n]]!, which its inverse will look up
+    _SPLITS[_primitive(_num_real_part(out.num))[1]] = _qfactorial_split(n)
     return out
 
 
+@lru_cache(maxsize=None)
 def qfactorial_inverse(n):
-    """1 / [[n]]!, inverted once per n and kept."""
-    out = _QFACT_INV.get(n)
-    if out is None:
-        out = _QFACT_INV[n] = qfactorial_std(n).inverse()
-    return out
+    """1 / [[n]]!, read from the split of [[n]]!: no dense [[n]]! is built
+    and nothing is inverted."""
+    if n < 0:
+        raise ValueError("factorial of negative integer")
+    return _split_scalar({_NKEY0: 1}, 1, _qfactorial_split(n),
+                         normalize=False)
 
 
 def subst_classical(x):

@@ -341,11 +341,6 @@ def _eval(node):
         if exp.denominator == 1:
             return base ** int(exp)
         if exp.denominator == 2:
-            if base == sc.two_q():
-                if exp == Fraction(1, 2):
-                    return sc.R
-                if exp == Fraction(-1, 2):
-                    return sc.R * sc.two_q().inverse()
             raise ParseError("half-integer exponents are allowed on q only")
         raise ParseError(f"unsupported exponent {exp}")
     raise TypeError(f"not an AST node: {node!r}")

@@ -8,8 +8,8 @@ e_q(i m xi+) e_q(i m xi-) of central series, whose degree-d slice
     (i m)^d  sum_{a+b=d}  xi+^a xi-^b / ([[a]]! [[b]]!)
 
 is symmetric under xi+ <-> xi-, hence a polynomial in x0 and x^2: the
-square root drops out of the expansion.  Each 1/[[n]]! is inverted once
-per n and kept (`scalars.qfactorial_inverse`).
+square root drops out of the expansion.  Each 1/[[n]]! is read from the
+known split of [[n]]! and kept (`scalars.qfactorial_inverse`).
 
 Verification compares degree slices, so the eigenvalue equations are graded
 identities; the algebra carries no topology in which the full series could

@@ -141,9 +141,18 @@ def _eval_scalar(x):
     for (es, em, ek, ei, er), c in x.num.items():
         v = Fraction(c) * _SPT ** es * _MPT ** em * _KPT ** ek
         acc[ei + 2 * er] += v
-    den = Fraction(0)
+    # the denominator, a polynomial, by Horner's rule in s over integers
+    slices = {}
     for (es, em, ek), c in x.den.items():
-        den += Fraction(c) * _SPT ** es * _MPT ** em * _KPT ** ek
+        slices.setdefault((em, ek), {})[es] = c
+    den = Fraction(0)
+    for (em, ek), sl in slices.items():
+        val, scale = 0, 1
+        for es in range(max(sl), -1, -1):
+            val = val * _SPT.numerator + sl.get(es, 0) * scale
+            scale *= _SPT.denominator
+        den += Fraction(val, scale // _SPT.denominator) * _MPT ** em \
+            * _KPT ** ek
     assert den != 0
     return tuple(a / den for a in acc)
 
@@ -441,6 +450,27 @@ def test_seeded_split_equals_split_from_scratch():
     for n in range(1, 10):
         fact = sc._num_real_part(sc.qfactorial_std(n).num)
         assert sc._den_split(fact)[1] == _split_from_scratch(fact)
+
+
+def test_qfactorial_inverse_reads_the_split(monkeypatch):
+    dense = [sc.qfactorial_std(n).inverse() for n in range(65)]
+    cached = [sc.qfactorial_inverse(n) for n in range(65)]
+
+    def fail(*args):
+        raise AssertionError("1/[[n]]! built [[n]]! or inverted")
+
+    monkeypatch.setattr(sc.Scalar, "inverse", fail)
+    monkeypatch.setattr(sc, "qfactorial_std", fail)
+    fresh = [sc.qfactorial_inverse.__wrapped__(n) for n in range(65)]
+    monkeypatch.undo()
+    # the mirror's [[n]]! is a real number: its product is one Fraction
+    factorial = Fraction(1)
+    for n, x in enumerate(fresh):
+        for want in (cached[n], dense[n]):
+            assert (x.num, x._c, x.split) == (want.num, want._c, want.split)
+        factorial *= _qn_at(n)[0] if n else 1
+        assert _quad_mul(_eval_scalar(x), (factorial,) + (0,) * 3) \
+            == (1, 0, 0, 0)
 
 
 def test_registered_factors_cancel_on_construction():

@@ -65,8 +65,9 @@ def test_division_errors(text, message):
 def test_half_exponents_on_q_only():
     assert sf.parse_scalar("q^(1/2)") == sc.s_power(1)
     assert sf.parse_scalar("q^(-3/2)") == sc.s_power(-3)
-    with pytest.raises(sf.ParseError):
-        sf.parse_scalar("m^(1/2)")
+    for text in ("m^(1/2)", "(q+q^-1)^(1/2)", "(q+q^-1)^(-1/2)"):
+        with pytest.raises(sf.ParseError, match="on q only"):
+            sf.parse_scalar(text)
 
 
 def test_negative_powers_of_q_invert_nothing(monkeypatch):
