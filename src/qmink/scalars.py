@@ -44,16 +44,12 @@ the split holds comes off it, one power each, and the numerator is
 multiplied by the product of the other Phi_d of [[n]].  The result is
 reduced without trial division: the Phi_d multiplied in are irreducible
 and absent from the new split, and, monic with constant term 1, they
-change neither sign nor content.  A dense product of Phi_d's, read for a
-`den`, a cofactor over an lcm or [[n]]'s remaining factors, is built from
-the binomials s^k - 1 of the Moebius formula, each multiplied in one
-shifted difference of lists, or divided top-down with q_j = p_(j+k) +
-q_(j+k).
+change neither sign nor content.  A dense product of Phi_d's is built
+from the binomials s^k - 1 of the Moebius formula (`_phi_product`).
 
-The inverse q-factorial 1/[[n]]! is 1 over the split of [[n]]!, the
-splits of [[1]] .. [[n]] added: no dense [[n]]! is built and nothing is
-inverted.  Each memo of this module is a `functools.lru_cache`, whose
-`cache_info()` reads its size.
+The split of [[n]]! is that of [[1]] .. [[n]] added: 1/[[n]]! is 1 over
+it, nothing inverted, and [[n]]! its dense product.  Each memo of this
+module is a `functools.lru_cache`, whose `cache_info()` reads its size.
 
 A product with a unit +-c s^a i^b (one numerator term, no m, k or r, over
 the trivial denominator) keeps the other factor's denominator and divides
@@ -62,22 +58,29 @@ factor with an already reduced denominator that the other did not.
 
 A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
 reduces each output coefficient once instead of once per product and per
-partial sum: numerators are multiplied into one group per product
-denominator, and when the sum is built the groups of a key are summed
-over the lcm of their denominators and reduced once.  A product of three
-factors, a b t for each entry t of a normal-ordering table, multiplies
-the numerators of a and b once and leaves them unreduced.  A group whose
-numerator passes `_GROUP_MAX_TERMS` terms is reduced at once and started
-again empty.  It builds both gradients, every `Matrix` product, the
-product of two multi-term Elements, the central stage of the PBW
-conversion and the alpha expansion of a central Element.
+partial sum: numerators are multiplied into one group per key and product
+denominator, and the groups of a key are summed over the lcm of their
+denominators and reduced once.  It builds both gradients, every `Matrix`
+product, the product of two multi-term Elements, the central stage of the
+PBW conversion and the alpha expansion of a central Element.
+
+Nearly all of them are products of numerators in s alone over Phi_d's
+alone, multiplied packed: such a Scalar has a packed view (lo, P, norm),
+P = sum c 2^(64 (e_s - lo)) over its terms c s^e_s and norm = sum |c|, so
+a product is one integer product and a sum a shift and an add.  A packed
+group takes a product only while its norm stays below 2^63, checked
+before the add: each coefficient c_j of P = sum c_j 2^(64 j) is then one
+balanced digit |c_j| < 2^63, read back exactly, once per coefficient, when
+the key is summed.  A product with m, k, i or r, another factor or past
+the bound sends its key to dict groups, summed as before.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, log
 
 __all__ = [
@@ -182,12 +185,6 @@ def _den_as_num(d):
     return {(es, em, ek, 0, 0): v for (es, em, ek), v in d.items()}
 
 
-def _num_real_part(n):
-    """Numerator restricted to e_i = e_r = 0, as a denominator-style dict."""
-    return {(es, em, ek): v for (es, em, ek, ei, er), v in n.items()
-            if ei == 0 and er == 0}
-
-
 def _content(d, g=0):
     """The gcd of g and the coefficients of the dict d."""
     for v in d.values():
@@ -203,7 +200,7 @@ class Scalar:
     It stores (num, c, split), reduced, and `den` = c * _split_den(1,
     split) is built on its first read and kept."""
 
-    __slots__ = ("num", "_den", "_c", "split")
+    __slots__ = ("num", "_den", "_c", "split", "_pk")
     __hash__ = None
 
     def __init__(self, num, den=None):
@@ -375,49 +372,112 @@ class Scalar:
 
 # -- deferred sums of products ------------------------------------------------
 
-# A group whose numerator passes this many terms is reduced at once, and
-# the group starts again empty.  Under one denominator a group gains terms
-# only as the exponents of its products spread, so the engine's groups stay
-# far smaller: at most 22 terms over both gradients of the criterion-4 and
-# benchmark inputs, the benchmark's wave and matrix batches and
-# `verify all --max-degree 4`.  A bound more than ten times that never
-# costs on those inputs, and it keeps an adversarial sum from deferring all
-# of its work to one reduction of an unbounded numerator.
+# A group whose numerator passes this many terms, or a packed group whose
+# span in s does, is reduced at once and starts again empty.  The engine's
+# groups stay far smaller: at most 22 terms over both gradients of the
+# criterion-4 and benchmark inputs, the benchmark's wave and matrix batches
+# and `verify all --max-degree 4`.  The bound keeps an adversarial sum from
+# deferring all of its work to one reduction of an unbounded numerator.
 _GROUP_MAX_TERMS = 256
+_DIGIT_BOUND = 1 << 63      # the norm of a packed group stays below it
+
+
+def _pack(x):
+    """x's packed view (lo, P, norm), filled on first read: P = sum c 2^(64
+    (e_s - lo)) and norm = sum |c| over its terms c s^e_s; False if x has
+    m, k, i or r, or a factor other than a Phi_d."""
+    num, p, norm = x.num, 0, 0
+    lo = min(num, default=(0,))[0]
+    for (es, em, ek, ei, er), v in num.items():
+        if em or ek or ei or er:
+            p = None
+            break
+        p += v << ((es - lo) << 6)
+        norm += abs(v)
+    view = p is not None and not (x.split and x.split[0][0] < 0) \
+        and (lo, p, norm)
+    _SET_SLOTS[4](x, view)
+    return view
+
+
+def _unpack(p):
+    """The c_j of p = sum c_j 2^(64 j), all |c_j| < 2^63, the last nonzero
+    unless p is: (p + h) ^ h, h = 2^63 in each digit, has them as int64."""
+    n = p.bit_length() // 64 + 1    # 2^(64 n - 65) < |p| < 2^(64 n - 1)
+    if n == 1:
+        return [p]
+    h = int.from_bytes(_DIGIT_BOUND.to_bytes(8, "little") * n, "little")
+    return list(struct.unpack("<%dq" % n,
+                              ((p + h) ^ h).to_bytes(8 * n, "little")))
+
+
+def _unpacked_num(view):
+    return {(view[0] + j, 0, 0, 0, 0): v
+            for j, v in enumerate(_unpack(view[1])) if v}
+
+
+@lru_cache(maxsize=None)
+def _packed_cofactor(k, split, part):
+    """(P, norm) of k times the product of the split over the part."""
+    p = _split_den(1, _div_splits(split, part))
+    return (k * sum(v << (es << 6) for (es, _, _), v in p.items()),
+            k * sum(map(abs, p.values())))
+
+
+def _packed_sum(parts):
+    """The reduced sum of the packed fractions, given as ((lo, P, norm), c,
+    split), over their lcm: as dicts if its norm could reach the bound,
+    else read back once into the coefficient list that `_reduce` takes."""
+    if len(parts) == 1:
+        (lo, total, _), c, split = parts[0]
+    else:
+        c, split = _lcm(parts)
+        lo = min(view[0] for view, _, _ in parts)
+        total = norm = 0
+        for (lo2, p, norm2), c2, split2 in parts:
+            cof, cof_norm = _packed_cofactor(c // c2, split, split2)
+            total += p * cof << ((lo2 - lo) << 6)
+            norm += norm2 * cof_norm
+        if norm >= _DIGIT_BOUND:
+            return _over_lcm([(_unpacked_num(view), c2, split2)
+                              for view, c2, split2 in parts])
+    arr = _unpack(total)
+    if not arr[-1]:
+        return ZERO
+    if not arr[0]:
+        start = next(j for j, v in enumerate(arr) if v)
+        arr, lo = arr[start:], lo + start
+    if split:
+        arr, c, split = _reduce(arr, c, split)
+    g = gcd(c, *arr) if c > 0 else -gcd(c, *arr)
+    return _init(object.__new__(Scalar), {(lo + j, 0, 0, 0, 0): v // g
+                                          for j, v in enumerate(arr) if v},
+                 None, c // g, split)
 
 
 class SumOfProducts:
     """Sums of products a * b of Scalars, one sum per key, reduced once.
 
-    `add(key, a, b)` multiplies the numerators of a and b into the group of
-    the key and the product denominator, known by its c and its split,
-    without reducing anything.  `result()` sums the groups of each key over
-    the lcm of their denominators, the elementwise maximum of the splits
-    over the lcm of the c's, each numerator times its cofactor,
-    and reduces that sum once.  A key that receives a single product costs
-    no denominator work: `result()` forms it with `Scalar.__mul__`, whose
-    unit fast path needs no reduction.
-
-    `_add_each(entries, a, b)` adds a * b * t to the sum of each key for
-    the (key, t) of entries, as `algebra.mul_into` does for a tail table
-    of several terms.  The numerators of a and b are multiplied once and
-    stay unreduced, so their product always goes into a group: as a lone
-    factor, the unit fast path would keep its unreduced denominator.
+    A key with a single product is formed by `Scalar.__mul__`, whose unit
+    fast path needs no reduction.  `_add_each(entries, a, b)` adds a * b *
+    t for each (key, t) of a tail table of `algebra.mul_into`: a and b are
+    multiplied once, and their product, unreduced, always goes in a group.
     """
 
-    __slots__ = ("_lone", "_groups", "_sums")
+    __slots__ = ("_keys", "_groups", "_packed", "_sums")
 
     def __init__(self):
-        self._lone = {}       # key -> (a, b) while its only product, else None
-        self._groups = {}     # (key, c, split) -> numerator
+        self._keys = {}       # key: lone (a, b), else None; False: dicts
+        self._groups = {}     # (key, c, split) -> numerator dict
+        self._packed = {}     # (key, c, split) -> [lo, P, norm]
         self._sums = {}       # key -> sum of the reduced products so far
 
     def add(self, key, a, b):
         """Add a * b to the sum of key."""
         if not a.num or not b.num:
             return
-        if key not in self._lone:
-            self._lone[key] = (a, b)
+        if key not in self._keys:
+            self._keys[key] = (a, b)
             return
         self._unlone(key)
         self._add_product(key, a, b)
@@ -426,29 +486,61 @@ class SumOfProducts:
         """Add a * b * t to the sum of key for each (key, t) of entries."""
         if not a.num or not b.num:
             return
-        split = _add_splits(a.split, b.split)
-        n, c = _nmul(a.num, b.num), a._c * b._c
+        split, c = _add_splits(a.split, b.split), a._c * b._c
+        va = a._pk if a._pk is not None else _pack(a)
+        vb = va and (b._pk if b._pk is not None else _pack(b))
+        ab = vb and (va[0] + vb[0], va[1] * vb[1], va[2] * vb[2])
+        n = None
         for key, t in entries:
             self._unlone(key)
-            self._group_add(key, n, t.num, c * t._c,
-                            _add_splits(split, t.split))
+            tc, tsplit = c * t._c, _add_splits(split, t.split)
+            if not (ab and self._keys[key] is not False
+                    and self._packed_add(key, tc, tsplit, ab, t)):
+                n = n or _nmul(a.num, b.num)
+                self._dict_add(key, n, t.num, tc, tsplit)
 
     def _unlone(self, key):
         """Mark key as summed in groups, moving its lone product there."""
-        lone = self._lone.get(key)
-        self._lone[key] = None
-        if lone:
-            self._add_product(key, *lone)
+        lone = self._keys.get(key)
+        if lone is not False:
+            self._keys[key] = None
+            if lone:
+                self._add_product(key, *lone)
 
     def _add_product(self, key, a, b):
-        self._group_add(key, a.num, b.num, a._c * b._c,
-                        _add_splits(a.split, b.split))
+        c, split = a._c * b._c, _add_splits(a.split, b.split)
+        if a._pk is not False and self._keys[key] is not False:
+            va = a._pk if a._pk is not None else _pack(a)
+            if va and self._packed_add(key, c, split, va, b):
+                return
+        self._dict_add(key, a.num, b.num, c, split)
 
-    def _group_add(self, key, n1, n2, c, split):
+    def _packed_add(self, key, c, split, va, b):
+        """Whether the product of the view va and b's went to the packed
+        group of (key, c, split)."""
+        vb = b._pk if b._pk is not None else _pack(b)
+        if not vb:
+            return False
+        gkey, lo, norm = (key, c, split), va[0] + vb[0], va[2] * vb[2]
+        group = self._packed.get(gkey) or [lo, 0, 0]
+        if group[2] + norm >= _DIGIT_BOUND:
+            return False
+        self._packed[gkey] = group
+        if lo < group[0]:       # align the lowest powers of s
+            group[:2] = lo, group[1] << ((group[0] - lo) << 6)
+        group[1] += va[1] * vb[1] << ((lo - group[0]) << 6)
+        group[2] += norm
+        if group[1].bit_length() >= _GROUP_MAX_TERMS << 6:    # span > bound
+            del self._packed[gkey]
+            self._reduce(key, _packed_sum([(group, c, split)]))
+        return True
+
+    def _dict_add(self, key, n1, n2, c, split):
         gkey = (key, c, split)
         num = self._groups.get(gkey)
         if num is None:
             num = self._groups[gkey] = {}
+            self._keys[key] = False
         _nmul_into(num, n1, n2)
         if len(num) > _GROUP_MAX_TERMS:
             self._reduce(key, _split_scalar(num, c, split))
@@ -461,18 +553,26 @@ class SumOfProducts:
     def result(self):
         """{key: sum} for the keys whose sum is not zero.  The reduced sums
         own the numerators, so the accumulator is emptied."""
-        for key, lone in self._lone.items():
+        keys, groups, packed = self._keys, {}, {}
+        for key, lone in keys.items():
             if lone:
                 self._sums[key] = lone[0] * lone[1]
-        groups = {}
+        for (key, c, split), view in self._packed.items():
+            if keys[key] is False:
+                groups.setdefault(key, []).append(
+                    (_unpacked_num(view), c, split))
+            else:
+                packed.setdefault(key, []).append((view, c, split))
         for (key, c, split), num in self._groups.items():
             if num:
                 groups.setdefault(key, []).append((num, c, split))
+        for key, group in packed.items():
+            self._reduce(key, _packed_sum(group))
         for key, group in groups.items():
             self._reduce(key, _over_lcm(group) if len(group) > 1
                          else _split_scalar(*group[0]))
         out = {key: x for key, x in self._sums.items() if x.num}
-        self._lone, self._groups, self._sums = {}, {}, {}
+        self._keys, self._groups, self._packed, self._sums = {}, {}, {}, {}
         return out
 
 
@@ -495,12 +595,14 @@ _SET_SLOTS = tuple(getattr(Scalar, name).__set__ for name in Scalar.__slots__)
 
 
 def _init(x, num, den, c, split):
-    """Fill the slots of the new Scalar x; returns x."""
-    set_num, set_den, set_c, set_split = _SET_SLOTS
+    """Fill the slots of the new Scalar x, its packed view left to fill on
+    first read; returns x."""
+    set_num, set_den, set_c, set_split, set_pk = _SET_SLOTS
     set_num(x, num)
     set_den(x, den)
     set_c(x, c)
     set_split(x, split)
+    set_pk(x, None)
     return x
 
 
@@ -511,14 +613,19 @@ def _split_scalar(num, c, split, normalize=True):
     return _init(object.__new__(Scalar), num, None, c, split)
 
 
-def _over_lcm(parts):
-    """The reduced sum of the fractions num / (c prod F^e), given as (num,
-    c, split), over their lcm: the lcm of the c's times the elementwise
-    maximum of the splits, each numerator times its cofactor."""
+def _lcm(parts):
+    """The lcm (c, split) of the denominators of the parts (num, c, split)."""
     _, c, split = parts[0]
     for _, c2, split2 in parts[1:]:
         c = c // gcd(c, c2) * c2
         split = _max_splits(split, split2)
+    return c, split
+
+
+def _over_lcm(parts):
+    """The reduced sum of the fractions num / (c prod F^e), given as (num,
+    c, split), over their lcm, each numerator times its cofactor."""
+    c, split = _lcm(parts)
     num = {}
     for num2, c2, split2 in parts:
         _nmul_into(num, num2, _den_as_num(
@@ -592,32 +699,43 @@ def _div_slice(sl, g):
 
 def _reduce(num, c, split):
     """Cancel the gcd of num and the denominator c prod F^e; returns (num,
-    c, split).
-
-    Keeps fractions small along summation chains.  Each factor of the
-    split is divided out of num as long as it divides: a Phi_d out of every
-    slice of num in s, any other factor out of every (e_i, e_r) component.
-    """
+    c, split).  Each factor of the split is divided out of num as long as
+    it divides: a Phi_d out of every slice of num in s, any other factor
+    out of every (e_i, e_r) component.  A numerator in s alone over Phi_d's
+    alone may come as its coefficient list, nonzero at both ends and from
+    any power of s (a unit); it comes back as a list."""
     cancelled = {}
-    if split[-1][0] > 0:
-        num, c = _cancel_phis(num, c, split, cancelled)
-    if split[0][0] < 0:
-        num = _cancel_factors(num, split, cancelled)
+    if type(num) is list:
+        terms = list(compress(enumerate(num), num))
+        for d, e in split if len(terms) > 1 else ():    # s^j has no Phi_d
+            for _ in range(e):
+                if not _phi_divides(terms, d):
+                    break
+                num = _div_monic(num, _cyclotomic(d))
+                terms = list(compress(enumerate(num), num))
+                cancelled[d] = cancelled.get(d, 0) + 1
+    else:
+        if split[-1][0] > 0:
+            num = _cancel_phis(num, split, cancelled)
+        if split[0][0] < 0:
+            num = _cancel_factors(num, split, cancelled)
     if not cancelled:
         return num, c, split
+    if cancelled.get(1, 0) % 2:
+        c = -c          # the split's Phi_1 is 1 - s, divided out as s - 1
     split = tuple((f, e - cancelled.get(f, 0)) for f, e in split
                   if e > cancelled.get(f, 0))
     return num, c, split
 
 
-def _cancel_phis(num, c, split, cancelled):
-    """(num, c) with the Phi_d of the split that divide every slice of num
+def _cancel_phis(num, split, cancelled):
+    """num with the Phi_d of the split that divide every slice of num
     divided out, counted in cancelled."""
     slices = _slices(num)
     probe = sorted(slices.values(), key=len)
     if len(probe[0]) == 1:
         # an s-monomial slice shares no Phi_d with the denominator
-        return num, c
+        return num
     for d, e in split:
         if d < 0:
             continue
@@ -628,10 +746,7 @@ def _cancel_phis(num, c, split, cancelled):
             slices = {key: _div_slice(sl, phi) for key, sl in slices.items()}
             probe = sorted(slices.values(), key=len)
             cancelled[d] = cancelled.get(d, 0) + 1
-    if not cancelled:
-        return num, c
-    # the Phi_d are taken with constant term 1, and Phi_1 = s - 1
-    return _join(slices), -c if cancelled.get(1, 0) % 2 else c
+    return _join(slices) if cancelled else num
 
 
 def _cancel_factors(num, split, cancelled):
@@ -1081,15 +1196,11 @@ def _qfactorial_split(n):
 
 @lru_cache(maxsize=None)
 def qfactorial_std(n):
-    """[[n]]! = [[n]] [[n-1]] ... [[1]]."""
+    """[[n]]! = [[n]] [[n-1]] ... [[1]], the dense product of the Phi_d of
+    its split, which `_split_den` registers for its inverse."""
     if n < 0:
         raise ValueError("factorial of negative integer")
-    if not n:
-        return ONE
-    out = qfactorial_std(n - 1) * qnum_std(n)
-    # register the split of [[n]]!, which its inverse will look up
-    _SPLITS[_primitive(_num_real_part(out.num))[1]] = _qfactorial_split(n)
-    return out
+    return Scalar(_den_as_num(_split_den(1, _qfactorial_split(n))))
 
 
 @lru_cache(maxsize=None)

@@ -316,10 +316,14 @@ def test_verify_json_records_and_timings(capsys):
     # a deep massive state as text, whose denominators are printed dense
     (["solve", "massive", "--degree", "24", "--verify"],
      "10c4771b935d25ac163ccf0083459d4b15348bc507543bbeb5c3d77c7bf80659"),
+    # q-binomial coefficients of up to 96 bits, summed in s alone
+    (["normalize", "(x0+xm)^64"],
+     "5deefa681b67097ad4afba58dc2b18991370efb1bbe63550ee3eb1fd3ebfc7c5"),
 ], ids=["massive", "massless", "lpow", "lpow-x0", "derive", "normalize",
         "normalize-mk", "massless-16", "massive-12", "massive-20",
         "normalize-mk-5", "normalize-mixed-5", "derive-delta",
-        "derive-delta-json", "derive-every-slot", "massive-24"])
+        "derive-delta-json", "derive-every-slot", "massive-24",
+        "normalize-binomial-64"])
 def test_printed_output_is_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

@@ -448,7 +448,7 @@ def test_seeded_split_equals_split_from_scratch():
         assert seeded
         assert seeded == _split_from_scratch(x.den) == x.split
     for n in range(1, 10):
-        fact = sc._num_real_part(sc.qfactorial_std(n).num)
+        fact = _den_of(sc.qfactorial_std(n))
         assert sc._den_split(fact)[1] == _split_from_scratch(fact)
 
 
@@ -590,7 +590,7 @@ def test_binomial_division_rejects_an_inexact_quotient():
 def test_split_from_scratch_stops_at_its_largest_order():
     top = sc._SCRATCH_MAX_ORDER
     # [[top/4]] has Phi_top as its largest factor
-    qn = sc._num_real_part(sc.qnum_std(top // 4).num)
+    qn = _den_of(sc.qnum_std(top // 4))
     split, rest = sc._split_from_scratch(qn)
     assert max(split)[0] == top and rest == {(0, 0, 0): 1}
     # 1 + s^1000 = Phi_16 Phi_80 Phi_400 Phi_2000: what is left stays
@@ -737,14 +737,16 @@ _S_DENS = [sc.ONE, sc.integer(6), _TWO, _LAM, _TWO * _LAM, sc.qnum_std(3),
 _MK_DENS = [sc.M * sc.integer(6) + sc.K, sc.K + _Q * sc.integer(2)]
 
 
-def _contributions(dens):
+def _contributions(dens, s_alone=False):
+    """Lists of (key, a, b); with s_alone, every atom is c s^e / den."""
+    top = 0 if s_alone else 1
     atom = st.builds(
         lambda n, d, es, em, ek, ei, er, den: sc.rational(n, d)
         * sc.s_power(es) * sc.M ** em * sc.K ** ek * sc.I ** ei * sc.R ** er
         / den,
         st.integers(-6, 6), st.integers(1, 4), st.integers(-4, 4),
-        st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
-        st.integers(0, 1), st.sampled_from(dens))
+        st.integers(0, 2 * top), st.integers(0, 2 * top),
+        st.integers(0, top), st.integers(0, top), st.sampled_from(dens))
     value = st.lists(atom, min_size=1, max_size=3).map(
         lambda xs: sum(xs[1:], xs[0]))
     return st.lists(st.tuples(st.integers(0, 2), value, value),
@@ -784,24 +786,120 @@ def test_sum_of_products_matches_mirror_and_naive_sum(contribs):
     _check_sum_of_products(contribs, s_only=True)
 
 
+@given(_contributions(_S_DENS, s_alone=True))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_packed_sum_of_products_matches_mirror_and_naive_sum(contribs):
+    # numerators in s alone over Phi_d's alone: the packed groups
+    _check_sum_of_products(contribs, s_only=True)
+
+
 @given(_contributions(_S_DENS + _MK_DENS))
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_sum_of_products_matches_mirror_with_mk_denominators(contribs):
     _check_sum_of_products(contribs, s_only=False)
 
 
-def test_sum_of_products_reduces_a_group_past_the_bound():
-    # every product has the denominator lambda [2] and adds 8 new numerator
-    # terms, so the group of key 0 passes the bound; the last contribution
-    # cancels the first, which was reduced with the group before it
+def _past_the_bound(unit):
+    """Products over lambda [2] that add 8 new numerator terms each, so the
+    group of key 0 passes the bound; the last contribution cancels the
+    first, which was reduced with the group before it."""
     def chunk(j):
         return sum((sc.s_power(8 * j + t) * sc.integer(t + 1)
-                    * sc.I ** (t % 2) for t in range(8)), sc.ZERO) / _LAM
+                    * unit ** (t % 2) for t in range(8)), sc.ZERO) / _LAM
 
     n = sc._GROUP_MAX_TERMS // 8 + 2
     contribs = [(0, chunk(j), _TWO.inverse()) for j in range(n)]
-    contribs += [(1, chunk(0), _Q), (0, -chunk(0), _TWO.inverse())]
+    return contribs + [(1, chunk(0), _Q), (0, -chunk(0), _TWO.inverse())]
+
+
+def test_sum_of_products_reduces_a_group_past_the_bound():
+    assert _check_sum_of_products(_past_the_bound(sc.I), s_only=True)
+
+
+def _assert_sums_naively(contribs):
+    """The built sums, field by field, against the naive sums."""
+    acc, naive = sc.SumOfProducts(), {}
+    for key, a, b in contribs:
+        acc.add(key, a, b)
+        naive[key] = naive[key] + a * b if key in naive else a * b
+    got = acc.result()
+    for key, want in naive.items():
+        x = got.get(key, sc.ZERO)
+        assert (x.num, x._c, x.split) == (want.num, want._c, want.split)
+    return got
+
+
+def test_packed_sum_of_products_spills_past_the_norm_bound():
+    # 3^41 > 2^63: every product is too large for one packed digit
+    big, half = sc.integer(3 ** 41), _TWO.inverse()
+    contribs = [(0, big, half), (0, big * _Q, half), (0, -big, half),
+                (1, big, half * _Q), (1, sc.ONE, half), (1, big, half)]
+    got = _assert_sums_naively(contribs)
+    assert got[0] == big * _Q * half
+
+
+def test_packed_group_checks_the_norm_before_the_add():
+    # two products of norm 2^62 reach 2^63 together: read back as one
+    # digit, their sum would wrap to -2^63
+    x = sc.integer(2 ** 62) / _TWO
+    got = _assert_sums_naively([(0, x, sc.ONE), (0, x, sc.ONE),
+                                (0, sc.ONE, sc.ONE)])
+    assert got[0] == (sc.integer(2 ** 63) + _TWO) / _TWO
+
+
+def test_unpack_reads_balanced_digits():
+    for coeffs in ([0], [5], [-(2 ** 63 - 1)], [2 ** 63 - 1, -1],
+                   [-1, 0, 0, 2 ** 63 - 1], [1, -(2 ** 63 - 1), 7, -1]):
+        p = sum(v << (64 * j) for j, v in enumerate(coeffs))
+        assert sc._unpack(p) == coeffs
+
+
+def test_packed_lcm_sum_checks_its_norm():
+    # each group has norm 2^62, but over the lcm [2] the cofactor s^4 + 1
+    # doubles the second: 2^62 s^4 + 2^62 (s^4 + 1) has a digit 2^63
+    x = sc.integer(2 ** 62)
+    got = _assert_sums_naively([(0, x * sc.s_power(2), _TWO.inverse()),
+                                (0, x, sc.ONE)])
+    assert got[0].num == {(4, 0, 0, 0, 0): 2 ** 63, (0, 0, 0, 0, 0): 2 ** 62}
+
+
+@pytest.mark.parametrize("other", [sc.I, sc.R, sc.M, sc.K + _Q])
+def test_sum_of_products_mixes_packed_and_dict_products(other,
+                                                        count_reductions):
+    # key 0 takes products in s alone, then one with i, r, m or k, then
+    # more in s alone; key 1 stays packed.  Each key is reduced once.
+    lam, three = _LAM.inverse(), sc.qnum_std(3).inverse()
+    contribs = [(0, _Q, lam), (0, sc.integer(3), _TWO.inverse()),
+                (1, _Q, three), (1, sc.integer(2), lam),
+                (0, other, lam), (0, _Q ** 2, three),
+                (0, -_Q, lam), (1, _TWO, lam)]
+    acc = sc.SumOfProducts()
+    for key, a, b in contribs:
+        acc.add(key, a, b)
+    got = {}
+    assert count_reductions(lambda: got.update(acc.result())) == 2
+    assert got == _assert_sums_naively(contribs)
+    _check_sum_of_products(contribs, s_only=False)
+
+
+def test_packed_sum_of_products_reduces_a_group_past_the_bound():
+    # in s alone, the packed group of key 0 passes the bound by its span
+    contribs = _past_the_bound(sc.ONE)
     assert _check_sum_of_products(contribs, s_only=True)
+    _assert_sums_naively(contribs)
+
+
+def test_packed_key_is_reduced_once(count_reductions):
+    two, two2 = _TWO.inverse(), (_TWO ** 2).inverse()
+    contribs = [(0, _Q, two), (0, sc.integer(2), two2),
+                (0, _Q ** 2, two2), (0, sc.integer(-3), two)]
+    acc = sc.SumOfProducts()
+    for key, a, b in contribs:
+        acc.add(key, a, b)
+    assert acc._packed and not acc._groups
+    got = {}
+    assert count_reductions(lambda: got.update(acc.result())) == 1
+    assert got == _assert_sums_naively(contribs)
 
 
 # -- sums over the lcm of two splits --------------------------------------------
