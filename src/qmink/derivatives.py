@@ -55,7 +55,6 @@ All index vectors are in the four-vector order (0, -, +, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -73,15 +72,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Gradient:
-    """(nabla f)^mu for mu in (0, -, +, 3), as Localized components."""
+    """(nabla f)^mu for mu in (0, -, +, 3), as Localized components
+    (immutable)."""
 
-    components: tuple
+    __slots__ = ("components",)
+    __hash__ = None
 
-    def __post_init__(self):
-        if len(self.components) != 4:
+    def __init__(self, components):
+        if len(components) != 4:
             raise ValueError("gradient has four components")
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Gradient is immutable")
+
+    def __repr__(self):
+        return f"Gradient(components={self.components!r})"
 
     def __getitem__(self, mu):
         return self.components[mu]

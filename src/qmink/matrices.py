@@ -105,9 +105,9 @@ class Matrix:
     def __mul__(self, other):
         """M * N; M * x multiplies every entry by x on the right."""
         if isinstance(other, Matrix):
-            cols = tuple(zip(*other.entries))
+            cols = [_support(col) for col in zip(*other.entries)]
             return Matrix([[_dot(row, col) for col in cols]
-                           for row in self.entries])
+                           for row in map(_support, self.entries)])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -118,7 +118,8 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product."""
-        return [_dot(row, vec) for row in self.entries]
+        vec = _support(vec)
+        return [_dot(_support(row), vec) for row in self.entries]
 
     def kron(self, other):
         """Kronecker product: entry (i m + k, j m + l) is M[i, j] N[k, l]."""
@@ -158,17 +159,23 @@ class Matrix:
         return "Matrix([\n  " + ",\n  ".join(rows) + "\n])"
 
 
+def _support(vec):
+    """(vec[0], {t: vec[t] nonzero}): a row or column as `_dot` reads it."""
+    return vec[0], {t: x for t, x in enumerate(vec) if not x.is_zero()}
+
+
 def _dot(row, col):
-    """Sum of the nonzero products row[t] col[t]; row[0] col[0], the zero
-    of their ring, when there is none.
+    """Sum of the products row[t] col[t] over the t where both are nonzero,
+    row and col as `_support` gives them; row[0] col[0], the zero of their
+    ring, when there is none.
 
     A sum of two or more products is reduced once.  Over Localized, the
     numerators are summed over the largest delta power of the products and
     divided by delta once."""
-    pairs = [(a, b) for a, b in zip(row, col)
-             if not a.is_zero() and not b.is_zero()]
+    (row0, row), (col0, col) = row, col
+    pairs = [(a, col[t]) for t, a in row.items() if t in col]
     if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else row[0] * col[0]
+        return pairs[0][0] * pairs[0][1] if pairs else row0 * col0
     acc = sc.SumOfProducts()
     if all(isinstance(x, Scalar) for pair in pairs for x in pair):
         for a, b in pairs:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,46 +70,14 @@ class ParseError(ValueError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str          # q, i, r, m, k
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str          # internal generator tag
-
-
-@dataclass(frozen=True)
-class Add:
-    terms: tuple       # of (sign, node)
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class Neg:
-    node: object
-
-
-@dataclass(frozen=True)
-class Div:
-    num: object
-    den: object
+Lit = namedtuple("Lit", "value")                # Fraction
+Sym = namedtuple("Sym", "name")                 # q, i, r, m, k
+Gen = namedtuple("Gen", "name")                 # internal generator tag
+Add = namedtuple("Add", "terms")                # tuple of (sign, node)
+Mul = namedtuple("Mul", "factors")              # tuple of nodes
+Pow = namedtuple("Pow", "base exponent")        # node, Fraction
+Neg = namedtuple("Neg", "node")
+Div = namedtuple("Div", "num den")
 
 
 # -- lexer ---------------------------------------------------------------------

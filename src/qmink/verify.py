@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from dataclasses import replace
 
 from . import scalars as sc
 from . import algebra as al
@@ -106,11 +105,11 @@ def calculus(max_degree=DEFAULT_MAX_DEGREE):
 def solutions():
     """The light cone and rest states against their wave equations."""
     psi = wv.massless_state(n_max=12)
-    reports = [replace(wv.verify_massless(psi),
-                       name=f"massless state (N={psi.truncation})")]
+    reports = [wv.verify_massless(psi)._replace(
+        name=f"massless state (N={psi.truncation})")]
     phi = wv.massive_rest_state(n_max=10)
-    reports.append(replace(wv.verify_massive(phi),
-                           name=f"massive rest state (N={phi.truncation})"))
+    reports.append(wv.verify_massive(phi)._replace(
+        name=f"massive rest state (N={phi.truncation})"))
     reports.append(wv.verify_klein_gordon(phi))
     reports.append(_first(
         "square root drops out of the rest state", phi.slices,

@@ -21,7 +21,7 @@ only the second gradients anew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import scalars as sc
 from . import algebra as al
@@ -35,23 +35,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Degree-graded truncation: slices[d] holds the total-degree-d part.
+    """Degree-graded truncation: slices[d] holds the total-degree-d part
+    (immutable).
 
     `gradient(d)` keeps each slice's gradient for the life of the series,
     so checks run one after another on it share their first gradients.
-    The memo is no part of the value: `==`, `repr` and `replace` skip it.
+    The memo is no part of the value: `==` and `repr` skip it.
     """
 
-    slices: tuple
-    truncation: int
-    _grads: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    __slots__ = ("slices", "truncation", "_grads")
+    __hash__ = None
 
-    def __post_init__(self):
-        if len(self.slices) != self.truncation + 1:
+    def __init__(self, slices, truncation):
+        if len(slices) != truncation + 1:
             raise ValueError("need one slice per degree 0..N")
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "_grads", {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (self.slices, self.truncation) == \
+            (other.slices, other.truncation)
+
+    def __repr__(self):
+        return (f"TruncatedSeries(slices={self.slices!r}, "
+                f"truncation={self.truncation!r})")
 
     def slice(self, d):
         return self.slices[d] if 0 <= d <= self.truncation else al.zero()
@@ -75,17 +89,14 @@ class TruncatedSeries:
                                self.truncation)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple(
+        "VerifyReport", "name ok degrees_checked first_failure residual",
+        defaults=(None, None, None))):
     """Outcome of one check.  A graded check also records the degrees it
     verified and the first degree that failed; a failure keeps what failed
     in `residual`."""
 
-    name: str
-    ok: bool
-    degrees_checked: int | None = None
-    first_failure: int | None = None
-    residual: object = None
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:

@@ -107,9 +107,11 @@ def test_closed_pipe_exits_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
-def test_engine_commands_do_not_import_sympy():
+def test_engine_commands_do_not_import_sympy_or_dataclasses():
     # their denominators are products of Phi_d(q^(1/2)), which trial
-    # division factors, so sympy's factor_list is never needed
+    # division factors, so sympy's factor_list is never needed; and the
+    # records of qmink need no dataclasses, whose import pulls in inspect
+    # and ast and costs every command start-up time
     code = "\n".join([
         "import sys",
         "from qmink import cli",
@@ -117,13 +119,14 @@ def test_engine_commands_do_not_import_sympy():
         "             ['lpow', 'x0', '5'],",
         "             ['normalize', '(x0+xm)^4/(q+1)']):",
         "    assert cli.main(argv) == 0, argv",
-        "print('sympy' in sys.modules)"])
+        "print([m for m in ('sympy', 'dataclasses', 'inspect')",
+        "       if m in sys.modules])"])
     src = os.path.dirname(os.path.dirname(qmink.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_nesting_at_the_bound_normalizes(capsys):

@@ -46,6 +46,18 @@ def test_zero_localized_equals_zero():
     assert grad.scale(sc.ZERO) == dv.Gradient.zero()
 
 
+def test_gradient_is_an_immutable_four_vector():
+    loc = al.Localized.of(al.one())
+    with pytest.raises(ValueError):
+        dv.Gradient((loc,) * 3)
+    grad = dv.Gradient((loc,) * 4)
+    assert repr(grad) == "Gradient(components=((1), (1), (1), (1)))"
+    assert grad == dv.Gradient.of_elements([al.one()] * 4)
+    assert grad != dv.Gradient.zero()
+    with pytest.raises(AttributeError):
+        grad.components = (loc,) * 4
+
+
 @pytest.mark.parametrize("gen,slot", [("xm", 1), ("xp", 2)])
 def test_power_rule_spatial(gen, slot):
     for n in range(1, 6):

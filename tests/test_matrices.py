@@ -1,5 +1,7 @@
 import hashlib
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -175,6 +177,83 @@ def test_pi_minus_is_one_minus_pi_plus(monkeypatch):
 ], ids=["pi-plus", "pi-minus", "f-of-l0", "pi-weighted"])
 def test_functions_of_l0_are_unchanged(build, digest):
     assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
+
+
+# sha256 of the repr of what Matrix products build, computed with a dense
+# product over every pair of entries: the four-vector R-matrices (14
+# products of 16x16 Scalar matrices) and the L matrices (T M T^-1 of
+# Element matrices).
+@pytest.mark.parametrize("build, digest", [
+    (lz.rmatrices_fourvector,
+     "10bc953d7d58603c12ec434d3866936313e0881306533f243182da6050dd740c"),
+    (lambda: [mx.l_matrix(g) for g in ("x0", "xm", "xp", "x30", "x3")],
+     "580e8072a6614e3b7c91a746a96b347d4be70fdd1c7fceb78a55f7078bb72f55"),
+], ids=["r-matrices-fourvector", "l-matrices"])
+def test_matrix_products_are_unchanged(build, digest):
+    assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
+
+
+def _dense_dot(row, col):
+    """The product rule of an entry, written densely: the sum of the
+    products of the pairs where both entries are nonzero, else row[0]
+    col[0]."""
+    terms = [a * b for a, b in zip(row, col)
+             if not a.is_zero() and not b.is_zero()]
+    return reduce(operator.add, terms) if terms else row[0] * col[0]
+
+
+def _random_scalar(rng):
+    return rng.choice([sc.ZERO, sc.ZERO, sc.integer(rng.randint(-3, 3)),
+                       sc.q_power(rng.randint(-2, 2)), sc.I, sc.R,
+                       lam * sc.integer(rng.randint(1, 3))])
+
+
+def _random_element(rng):
+    if rng.random() < 0.3:
+        return al.zero()
+    gens = rng.sample(("x0", "xm", "xp", "x3"), rng.randint(1, 2))
+    return reduce(operator.mul, map(al.gen_element, gens)).scale(
+        sc.q_power(rng.randint(-2, 2)))
+
+
+def _random_localized(rng):
+    return al.Localized(_random_element(rng), rng.randint(0, 2))
+
+
+_ENTRY_RINGS = {
+    "scalar": (_random_scalar, _random_scalar, sc.ZERO),
+    "element": (_random_element, _random_element, al.zero()),
+    "localized": (_random_localized, _random_localized,
+                  al.Localized.of(al.zero())),
+    "scalar-element": (_random_scalar, _random_element, sc.ZERO),
+}
+
+
+@pytest.mark.parametrize("ring", list(_ENTRY_RINGS))
+def test_matrix_product_matches_the_dense_rule(ring):
+    left_entry, right_entry, zero = _ENTRY_RINGS[ring]
+    rng = random.Random(f"product-{ring}")
+    right_zero = right_entry(rng) * sc.ZERO
+    for _ in range(4):
+        left = [[left_entry(rng) for _ in range(4)] for _ in range(4)]
+        right = [[right_entry(rng) for _ in range(4)] for _ in range(4)]
+        left[1] = [zero] * 4                      # a zero row
+        for row in right:                         # a zero column
+            row[2] = right_zero
+        cases = [(left, right), ([[zero] * 4] * 4, right),
+                 (left, [[right_zero] * 4] * 4)]
+        for a, b in cases:
+            got = mx.Matrix(a) * mx.Matrix(b)
+            for i, row in enumerate(a):
+                for j, col in enumerate(zip(*b)):
+                    want = _dense_dot(row, col)
+                    assert type(got[i, j]) is type(want), (ring, i, j)
+                    assert got[i, j] == want, (ring, i, j)
+            col = [row[0] for row in b]
+            got = mx.Matrix(a).apply(col)
+            for entry, row in zip(got, a):
+                want = _dense_dot(row, col)
+                assert type(entry) is type(want) and entry == want, ring
 
 
 def test_tau():

@@ -16,6 +16,19 @@ def test_parse_basic():
         al.gen_element("x3").scale(sc.q_power(1))
 
 
+def test_parse_tree_is_an_immutable_record():
+    node = sf.parse("-2*x0^3 + q/(m+1)")
+    assert repr(node) == (
+        "Add(terms=((-1, Mul(factors=(Lit(value=Fraction(2, 1)), "
+        "Pow(base=Gen(name='x0'), exponent=Fraction(3, 1))))), "
+        "(1, Div(num=Sym(name='q'), den=Add(terms=((1, Sym(name='m')), "
+        "(1, Lit(value=Fraction(1, 1)))))))))")
+    assert node == sf.parse("-2*x0^3+q/(m+1)")
+    assert node != sf.parse("-2*x0^3 + q/(m+2)")
+    with pytest.raises(AttributeError):
+        node.terms = ()
+
+
 def test_parse_noncommutative_order():
     assert sf.parse_element("xm*xp") != sf.parse_element("xp*xm")
     assert sf.parse_element("xm * xp") == \

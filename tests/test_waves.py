@@ -6,6 +6,7 @@ import pytest
 from qmink import algebra as al
 from qmink import derivatives as dv
 from qmink import scalars as sc
+from qmink import verify as vf
 from qmink import waves as wv
 
 
@@ -274,3 +275,43 @@ def test_eigenvalue_and_klein_gordon_checks_share_first_gradients(monkeypatch):
     psi = phi.scale(sc.integer(2))
     assert [wv.verify_massive(psi), wv.verify_klein_gordon(psi)] == want
     assert _slice_calls(calls, psi) == 5
+
+
+def test_verify_report_is_an_immutable_record():
+    report = wv.VerifyReport("check", True, 3)
+    assert report == wv.VerifyReport("check", True, 3, None, None)
+    assert report != wv.VerifyReport("check", False, 3)
+    assert report != wv.VerifyReport("check", True, 4)
+    assert wv.VerifyReport("check", True) == \
+        wv.VerifyReport("check", True, None, None, None)
+    assert repr(report) == (
+        "VerifyReport(name='check', ok=True, degrees_checked=3, "
+        "first_failure=None, residual=None)")
+    assert str(report) == "check: pass through degree 3"
+    failed = wv.VerifyReport("check", False, 2, 3, "x0")
+    assert str(failed) == "check: FAIL at degree 3 (residual 'x0')"
+    for field in ("name", "ok", "degrees_checked", "residual"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+
+
+def test_solutions_name_their_reports():
+    assert [r.name for r in vf.solutions()] == [
+        "massless state (N=12)", "massive rest state (N=10)",
+        "quantum Klein-Gordon equation",
+        "square root drops out of the rest state"]
+
+
+def test_truncated_series_is_immutable_and_its_memo_no_part_of_its_value():
+    series = wv.qexp(al.monomial(d=1), 3)
+    fresh = wv.qexp(al.monomial(d=1), 3)
+    series.gradient(2)
+    assert series == fresh and repr(series) == repr(fresh)
+    assert repr(series) == (f"TruncatedSeries(slices={series.slices!r}, "
+                            f"truncation=3)")
+    assert series != wv.qexp(al.monomial(d=1), 2)
+    for field in ("slices", "truncation", "_grads"):
+        with pytest.raises(AttributeError):
+            setattr(series, field, None)
+    with pytest.raises(ValueError):
+        wv.TruncatedSeries((al.one(),), 1)
