@@ -26,10 +26,21 @@ Phi_d(s).  A product is c1 c2 over the summed split.  Two fractions are
 added over their lcm, lcm(c1, c2) times the elementwise maximum of the
 splits: each numerator is multiplied by its cofactor, read from the
 splits, and the reduction that follows divides the lcm, not the product
-of both denominators.  A reduction trial-divides the numerator by each
-factor of the split and subtracts what it cancels; a product of
-primitive factors is primitive, so the content left is gcd(c,
+of both denominators.  A reduction divides the numerator by each factor
+of the split as long as it divides and subtracts what it cancels; a
+product of primitive factors is primitive, so the content left is gcd(c,
 content(num)).
+
+A Phi_d is divided out of each slice T of the numerator in s as one
+big-integer divmod: T is packed, T(2^64) = sum c_j 2^(64 j), and divided
+by Phi_d(2^64).  Phi_d | T gives Phi_d(2^64) | T(2^64), so a nonzero
+remainder proves that Phi_d does not divide T.  A zero one is proved by
+a digit bound once the factors are done: if every |c_j| < 2^63 and the
+quotient's balanced base-2^64 digits Q_j have max |Q_j| prod ||Phi_d||_1
+< 2^63 over the Phi_d cancelled, then Q prod Phi_d has coefficients
+below 2^63, as T has, and the same value at 2^64; a number has one
+balanced expansion, so Q prod Phi_d = T.  What fails the bound is
+divided again by exact polynomial division (`_divide_exactly`).
 
 Only a fresh denominator, of an inverse, of read text or of
 `Scalar(num, den)`, is factored: the Phi_d and the factors already
@@ -70,9 +81,10 @@ P = sum c 2^(64 (e_s - lo)) over its terms c s^e_s and norm = sum |c|, so
 a product is one integer product and a sum a shift and an add.  A packed
 group takes a product only while its norm stays below 2^63, checked
 before the add: each coefficient c_j of P = sum c_j 2^(64 j) is then one
-balanced digit |c_j| < 2^63, read back exactly, once per coefficient, when
-the key is summed.  A product with m, k, i or r, another factor or past
-the bound sends its key to dict groups, summed as before.
+balanced digit |c_j| < 2^63.  A key's sum is reduced packed, by the
+divmod above, and its quotient read back once.  A product with m, k, i
+or r, another factor or past the bound sends its key to dict groups,
+summed as before.
 """
 
 from __future__ import annotations
@@ -80,7 +92,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd, log
 
 __all__ = [
@@ -427,7 +439,7 @@ def _packed_cofactor(k, split, part):
 def _packed_sum(parts):
     """The reduced sum of the packed fractions, given as ((lo, P, norm), c,
     split), over their lcm: as dicts if its norm could reach the bound,
-    else read back once into the coefficient list that `_reduce` takes."""
+    else reduced packed by `_reduce` and read back once."""
     if len(parts) == 1:
         (lo, total, _), c, split = parts[0]
     else:
@@ -441,14 +453,14 @@ def _packed_sum(parts):
         if norm >= _DIGIT_BOUND:
             return _over_lcm([(_unpacked_num(view), c2, split2)
                               for view, c2, split2 in parts])
-    arr = _unpack(total)
-    if not arr[-1]:
+    if not total:
         return ZERO
-    if not arr[0]:
-        start = next(j for j, v in enumerate(arr) if v)
-        arr, lo = arr[start:], lo + start
+    low = ((total & -total).bit_length() - 1) >> 6      # zero digits below
+    lo, total = lo + low, total >> (low << 6)
     if split:
-        arr, c, split = _reduce(arr, c, split)
+        arr, c, split = _reduce(total, c, split)
+    else:
+        arr = _unpack(total)
     g = gcd(c, *arr) if c > 0 else -gcd(c, *arr)
     return _init(object.__new__(Scalar), {(lo + j, 0, 0, 0, 0): v // g
                                           for j, v in enumerate(arr) if v},
@@ -702,18 +714,17 @@ def _reduce(num, c, split):
     c, split).  Each factor of the split is divided out of num as long as
     it divides: a Phi_d out of every slice of num in s, any other factor
     out of every (e_i, e_r) component.  A numerator in s alone over Phi_d's
-    alone may come as its coefficient list, nonzero at both ends and from
-    any power of s (a unit); it comes back as a list."""
+    alone may come packed, as the integer T(2^64) of its coefficient list
+    T from s^0, T_0 != 0 and every |T_j| < 2^63; it comes back as the
+    coefficient list of the quotient."""
     cancelled = {}
-    if type(num) is list:
-        terms = list(compress(enumerate(num), num))
-        for d, e in split if len(terms) > 1 else ():    # s^j has no Phi_d
-            for _ in range(e):
-                if not _phi_divides(terms, d):
-                    break
-                num = _div_monic(num, _cyclotomic(d))
-                terms = list(compress(enumerate(num), num))
-                cancelled[d] = cancelled.get(d, 0) + 1
+    if type(num) is int:
+        (quot,), norm = _divide_packed([num], split, cancelled)
+        arr = _unpack(quot)
+        if cancelled and max(map(abs, arr)) * norm >= _DIGIT_BOUND:
+            _, arr = _shifted(_divide_exactly(
+                {0: dict(enumerate(_unpack(num)))}, split, cancelled)[0])
+        num = arr
     else:
         if split[-1][0] > 0:
             num = _cancel_phis(num, split, cancelled)
@@ -730,23 +741,83 @@ def _reduce(num, c, split):
 
 def _cancel_phis(num, split, cancelled):
     """num with the Phi_d of the split that divide every slice of num
-    divided out, counted in cancelled."""
+    divided out, counted in cancelled: packed by `_divide_packed`, the
+    smallest slice first, and read back if the quotients pass the digit
+    bound, else by `_divide_exactly`."""
     slices = _slices(num)
-    probe = sorted(slices.values(), key=len)
-    if len(probe[0]) == 1:
+    keys = sorted(slices, key=lambda key: len(slices[key]))
+    if len(slices[keys[0]]) == 1:
         # an s-monomial slice shares no Phi_d with the denominator
         return num
+    quots, norm = _divide_packed([slices[key] for key in keys], split,
+                                 cancelled)
+    if not cancelled:
+        return num
+    out = {}
+    for key, quot in zip(keys, quots):
+        lo = min(slices[key])
+        for j, v in enumerate(_unpack(quot)):
+            if v:
+                out[(lo + j,) + key] = v
+    if max(map(abs, num.values())) >= _DIGIT_BOUND \
+            or max(map(abs, out.values())) * norm >= _DIGIT_BOUND:
+        out = _join(_divide_exactly(slices, split, cancelled))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _packed_phi(d):
+    """(Phi_d(2^64), ||Phi_d||_1), Phi_1 taken as s - 1."""
+    phi = _cyclotomic(d)
+    return sum(v << (j << 6) for j, v in enumerate(phi)), sum(map(abs, phi))
+
+
+def _divide_packed(packs, split, cancelled):
+    """The quotients of the packs T(2^64) by each Phi_d of the split that
+    divides all of them, as often as the split allows, counted in
+    cancelled, and the product of the norms ||Phi_d||_1 cancelled, for
+    the digit bound that the caller checks.  A pack given as a slice
+    {e_s: c} is packed from its lowest power when it is first divided."""
+    norm = 1
+    for d, e in split:
+        if d < 0:
+            continue
+        phi, phi_norm = _packed_phi(d)
+        for _ in range(e):
+            quots = []
+            for j, p in enumerate(packs):
+                if type(p) is dict:
+                    lo = min(p)
+                    p = packs[j] = sum(v << ((es - lo) << 6)
+                                       for es, v in p.items())
+                quot, rem = divmod(p, phi)
+                if rem:
+                    break
+                quots.append(quot)
+            else:
+                packs, norm = quots, norm * phi_norm
+                cancelled[d] = cancelled.get(d, 0) + 1
+                continue
+            break
+    return packs, norm
+
+
+def _divide_exactly(slices, split, cancelled):
+    """The slices {e_s: c} with the Phi_d of the split that divide all of
+    them divided out by `_phi_divides` and `_div_monic`, counted in
+    cancelled, which is cleared first: the exact path for what fails the
+    digit bound."""
+    cancelled.clear()
     for d, e in split:
         if d < 0:
             continue
         for _ in range(e):
-            if not all(_phi_divides(sl.items(), d) for sl in probe):
+            if not all(_phi_divides(sl.items(), d) for sl in slices.values()):
                 break
             phi = _cyclotomic(d)
             slices = {key: _div_slice(sl, phi) for key, sl in slices.items()}
-            probe = sorted(slices.values(), key=len)
             cancelled[d] = cancelled.get(d, 0) + 1
-    return _join(slices) if cancelled else num
+    return slices
 
 
 def _cancel_factors(num, split, cancelled):

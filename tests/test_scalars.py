@@ -902,6 +902,152 @@ def test_packed_key_is_reduced_once(count_reductions):
     assert got == _assert_sums_naively(contribs)
 
 
+# -- cancelling Phi_d by one big-integer divmod ----------------------------------
+
+def _list_reduce(arr, c, split):
+    """The list loop that `_reduce` ran on a coefficient list before the
+    packed divmod: `_phi_divides`, then `_div_monic`, per factor."""
+    cancelled = {}
+    terms = [(j, v) for j, v in enumerate(arr) if v]
+    for d, e in split if len(terms) > 1 else ():
+        for _ in range(e):
+            if not sc._phi_divides(terms, d):
+                break
+            arr = sc._div_monic(arr, sc._cyclotomic(d))
+            terms = [(j, v) for j, v in enumerate(arr) if v]
+            cancelled[d] = cancelled.get(d, 0) + 1
+    if cancelled.get(1, 0) % 2:
+        c = -c
+    split = tuple((d, e - cancelled.get(d, 0)) for d, e in split
+                  if e > cancelled.get(d, 0))
+    return arr, c, split
+
+
+def _slices_reduce(slices, split):
+    """The list loop on each slice {e_s: c}: a Phi_d is cancelled only if
+    it divides every slice.  Returns (slices, split)."""
+    lists = {key: sc._shifted(sl) for key, sl in slices.items()}
+    for d, e in split:
+        for _ in range(e):
+            if not all(sc._phi_divides(enumerate(arr), d)
+                       for _, arr in lists.values()):
+                break
+            lists = {key: (lo, sc._div_monic(arr, sc._cyclotomic(d)))
+                     for key, (lo, arr) in lists.items()}
+            split = sc._div_splits(split, ((d, 1),))
+    return {key: sc._unshifted(lo, arr) for key, (lo, arr) in lists.items()}, \
+        split
+
+
+def _packed(arr):
+    return sum(v << (64 * j) for j, v in enumerate(arr))
+
+
+def test_packed_divmod_cancels_what_the_list_loop_does():
+    rng = random.Random(27)
+    for d in range(1, 257):
+        for k in range(3):
+            arr = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
+            arr[0], arr[-1] = arr[0] or 1, arr[-1] or -1
+            others = rng.sample(range(1, 65), rng.randint(0, 2))
+            for f in [d] * k + others:
+                arr = _mul_zs(arr, sc._cyclotomic(f))
+            ids = [d, 1, rng.randint(1, 256)] + others + rng.sample(
+                range(1, 65), 2)
+            split = tuple(sorted((f, rng.randint(1, 3)) for f in set(ids)))
+            c = rng.choice([1, 3, 10])
+            want = _list_reduce(arr, c, split)
+            assert sc._reduce(_packed(arr), c, split) == want, (d, k, arr)
+            # the dict path, from a negative power of s, and with an m slice
+            if k < 2:
+                continue
+            lo = rng.randint(-40, 0)
+            num = {(lo + j, 0, 0, 0, 0): v for j, v in enumerate(arr) if v}
+            got, got_c, got_split = sc._reduce(num, c, split)
+            assert (got_c, got_split) == want[1:]
+            assert got == {(lo + j, 0, 0, 0, 0): v
+                           for j, v in enumerate(want[0]) if v}
+            num.update({(es, 1, 0, 0, 0): 2 * v for es, v in
+                        sc._unshifted(lo, _mul_zs(arr, [1, 1, 1])).items()})
+            want, want_split = _slices_reduce(sc._slices(num), split)
+            assert sc._reduce(num, c, split)[::2] == (sc._join(want),
+                                                       want_split)
+
+
+def _count_exact_paths(monkeypatch):
+    calls = []
+    exact = sc._divide_exactly
+
+    def counting(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(sc, "_divide_exactly", counting)
+    return calls
+
+
+def test_packed_divmod_falls_back_past_the_digit_bound(monkeypatch):
+    # a (s^3 + 1) / Phi_6 sums two groups of norm a below 2^63, but the
+    # quotient a (s + 1) times ||Phi_6||_1 = 3 is past it: not certified
+    a = 2 ** 62 - 1
+    phi6 = {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): 1}
+    over6 = sc.Scalar(sc.ONE.num, phi6)
+    assert over6.split == ((6, 1),)
+    calls = _count_exact_paths(monkeypatch)
+    got = _assert_sums_naively([(0, sc.integer(a) * sc.s_power(3), over6),
+                                (0, sc.integer(a), over6)])
+    assert calls and got[0] == sc.integer(a) * (sc.ONE + sc.s_power(1))
+    assert _list_reduce([a, 0, 0, a], 1, ((6, 1),)) == ([a, a], 1, ())
+    calls.clear()
+    assert sc._reduce(_packed([a, 0, 0, a]), 1, ((6, 1),)) == \
+        ([a, a], 1, ())
+    assert calls
+    # c (s + 1)^2 at s = 2^64 carries into digits below 2^63 whose
+    # polynomial s + 1 does not divide: the divmod alone would cancel it
+    c = 2 ** 62 + 1
+    arr = [c, 2 - 2 ** 63, c + 1]
+    assert _packed(arr) == _packed([c, c]) * _packed([1, 1])
+    assert sc._reduce(_packed(arr), 1, ((2, 1),)) == (arr, 1, ((2, 1),)) \
+        == _list_reduce(arr, 1, ((2, 1),))
+    num = {(j - 3, 0, 0, 0, 0): v for j, v in enumerate(arr)}
+    assert sc._reduce(num, 1, ((2, 1),)) == (num, 1, ((2, 1),))
+
+
+def test_dict_divmod_falls_back_past_the_digit_bound(monkeypatch):
+    # coefficients of 2^70 pack to digits that do not read back
+    big = sc.integer(2 ** 70) * (sc.M + _Q * sc.integer(3))
+    x = big * sc.qnum_std(3) * _LAM
+    calls = _count_exact_paths(monkeypatch)
+    got = x / (sc.qnum_std(3) * _LAM)
+    assert calls and got == big and not got.split
+    split = ((1, 1), (2, 1), (3, 1), (4, 1), (6, 1))
+    assert sc._reduce(x.num, 1, split)[2] == \
+        _slices_reduce(sc._slices(x.num), split)[1] == ()
+
+
+def test_divmod_cancels_only_what_divides_every_slice():
+    # Phi_3 divides the s, m and r slices but not the i slice, which is
+    # not the smallest; Phi_8 divides all four, twice
+    phi3, phi8 = sc._cyclotomic(3), sc._cyclotomic(8)
+    two8 = _mul_zs(phi8, phi8)
+    parts = {(0, 0, 0, 0): _mul_zs(two8, phi3),
+             (1, 0, 0, 0): _mul_zs(two8, _mul_zs(phi3, [2, -1, 5])),
+             (0, 0, 1, 0): _mul_zs(two8, [1, 1, 1, 1, 1]),
+             (0, 0, 0, 1): _mul_zs(two8, _mul_zs(phi3, [3, 0, 0, 7]))}
+    num = {(es - 5,) + key: v for key, arr in parts.items()
+           for es, v in enumerate(arr) if v}
+    split = ((3, 2), (8, 3))
+    assert sorted(map(len, sc._slices(num).values()))[0] < \
+        len(sc._slices(num)[(0, 0, 1, 0)])
+    got, c, got_split = sc._reduce(num, 7, split)
+    assert (c, got_split) == (7, ((3, 2), (8, 1)))
+    want, want_split = _slices_reduce(sc._slices(num), split)
+    assert want_split == got_split and got == sc._join(want)
+    # without the i slice, Phi_3 comes off too
+    num = {key: v for key, v in num.items() if key[3] == 0}
+    assert sc._reduce(num, 7, split)[1:] == (7, ((3, 1), (8, 1)))
+
+
 # -- sums over the lcm of two splits --------------------------------------------
 #
 # Two Scalars over split denominators are summed over the lcm of their
