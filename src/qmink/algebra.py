@@ -22,19 +22,24 @@ see tests/test_algebra.py for the verification against all six relations.)
 
 A second engine normal orders in the Poincare-Birkhoff-Witt basis
 x0^n0 x-^n1 x+^n2 x3^n3; it backs the conversion `to_pbw_x` and serves as
-an independent multiplication oracle.  An Element lies in the algebra iff
-it is symmetric under xi+ <-> xi-; its central prefixes are then
-polynomials in x0 and xi+ xi- = x^2/[2]^2 (Newton's identities).
+an independent multiplication oracle.  Its product of two PBW tails
+x-^nm x+^np x3^n3 is cached per pair of tails (`_pbw_tail_mul`), built
+once by appending generators with `_pbw_tail_gen`, which holds the PBW
+relations alone, so the engine shares no code with internal normal
+ordering.  An Element lies in the algebra iff it is symmetric under
+xi+ <-> xi-; its central prefixes are then polynomials in x0 and
+xi+ xi- = x^2/[2]^2 (Newton's identities).
 
-Normal ordering and `to_pbw_x` sum, then reduce: each output coefficient
-is a sum of several coefficient products, and a `scalars.SumOfProducts`
-reduces it once instead of once per product.  A term pair whose tail
-table has several entries, or one that is not 1, contributes v * coeff *
-t for each entry t; `mul_into` has the accumulator multiply the
-numerators of v and coeff once and leave that product unreduced, so it
-is never formed as a reduced Scalar of its own.  When a factor has a
-single term, no two products share a key, so there is nothing to save:
-`_mul` keeps one reduced product per term pair, summed with `_acc`.
+Normal ordering, `pbw_mul` and `to_pbw_x` sum, then reduce: each output
+coefficient is a sum of several coefficient products, and a
+`scalars.SumOfProducts` reduces it once instead of once per product.  A
+term pair whose tail table has several entries, or one that is not 1,
+contributes v * coeff * t for each entry t; `mul_into` and `pbw_mul` have
+the accumulator multiply the numerators of v and coeff once and leave
+that product unreduced, so it is never formed as a reduced Scalar of its
+own.  When a factor has a single term, no two products share a key, so
+there is nothing to save: `_mul` keeps one reduced product per term pair,
+summed with `_acc`.
 """
 
 from __future__ import annotations
@@ -562,28 +567,36 @@ def _pbw_tail_gen(nm, np, n3, gen):
     raise KeyError(gen)
 
 
-def _pbw_mul_mono(terms, mono, coeff):
-    """Right-multiply PBW dict by a PBW monomial (n0, nm, np, n3)."""
-    n0, nm, np_, n3 = mono
-    cur = {(a0 + n0, am, ap, a3): c * coeff
-           for (a0, am, ap, a3), c in terms.items()}
+@lru_cache(maxsize=None)
+def _pbw_tail_mul(am, ap, a3, nm, np_, n3):
+    """Normal order x-^am x+^ap x3^a3 * x-^nm x+^np x3^n3 by appending the
+    generators one at a time with `_pbw_tail_gen`; returns a tuple of (key,
+    Scalar) pairs, a coefficient equal to 1 being ONE itself."""
+    cur = {(0, am, ap, a3): ONE}
     for gen, count in (("xm", nm), ("xp", np_), ("x3", n3)):
         for _ in range(count):
             nxt = {}
-            for (a0, am, ap, a3), c in cur.items():
-                for (u, m2, p2, v), c2 in _pbw_tail_gen(am, ap, a3, gen):
+            for (a0, m, p, t), c in cur.items():
+                for (u, m2, p2, v), c2 in _pbw_tail_gen(m, p, t, gen):
                     _acc(nxt, (a0 + u, m2, p2, v), c * c2)
             cur = nxt
-    return cur
+    return tuple((key, ONE if t.is_one() else t) for key, t in cur.items())
 
 
 def pbw_mul(f, g):
-    """Product of two PBW dicts (independent of the internal engine)."""
-    acc = {}
-    for mono, coeff in g.items():
-        for key, c in _pbw_mul_mono(f, mono, coeff).items():
-            _acc(acc, key, c)
-    return acc
+    """Product of two PBW dicts (independent of the internal engine): each
+    term pair scales its cached tail table, summed in one `SumOfProducts`."""
+    acc = sc.SumOfProducts()
+    for (n0, nm, np_, n3), coeff in g.items():
+        for (a0, am, ap, a3), c in f.items():
+            table = _pbw_tail_mul(am, ap, a3, nm, np_, n3)
+            if len(table) == 1 and table[0][1] is ONE:
+                (u, m2, p2, v), _ = table[0]
+                acc.add((a0 + n0 + u, m2, p2, v), c, coeff)
+                continue
+            acc._add_each([((a0 + n0 + u, m2, p2, v), t)
+                           for (u, m2, p2, v), t in table], c, coeff)
+    return acc.result()
 
 
 @lru_cache(maxsize=None)

@@ -75,16 +75,18 @@ denominators and reduced once.  It builds both gradients, every `Matrix`
 product, the product of two multi-term Elements, the central stage of the
 PBW conversion and the alpha expansion of a central Element.
 
-Nearly all of them are products of numerators in s alone over Phi_d's
-alone, multiplied packed: such a Scalar has a packed view (lo, P, norm),
-P = sum c 2^(64 (e_s - lo)) over its terms c s^e_s and norm = sum |c|, so
-a product is one integer product and a sum a shift and an add.  A packed
-group takes a product only while its norm stays below 2^63, checked
-before the add: each coefficient c_j of P = sum c_j 2^(64 j) is then one
-balanced digit |c_j| < 2^63.  A key's sum is reduced packed, by the
-divmod above, and its quotient read back once.  A product with m, k, i
-or r, another factor or past the bound sends its key to dict groups,
-summed as before.
+Nearly all products are of numerators in s alone over Phi_d's alone,
+multiplied packed: such a Scalar has a packed view (lo, P, norm), P = sum
+c 2^(64 (e_s - lo)) over its terms c s^e_s and norm = sum |c|, so a
+product is one integer product and a sum a shift and an add.  A norm
+below 2^63, checked before each product or add, makes each coefficient
+c_j of P = sum c_j 2^(64 j) one balanced digit |c_j| < 2^63.  A product
+of two packed Scalars, one of them not a monomial, is one integer
+product, one reduction by the divmod above and one read-back, whether
+`Scalar.__mul__` forms it or `SumOfProducts`, whose `add` and `_add_each`
+send the product's view to one packed add per key: a key's sum is reduced
+packed and read back once.  A product with m, k, i or r, another factor
+or past the bound multiplies numerator dicts, in dict groups if summed.
 """
 
 from __future__ import annotations
@@ -280,8 +282,15 @@ class Scalar:
             if c > 1:
                 num = {key: v // c for key, v in num.items()}
             return _split_scalar(num, x._c // c, x.split, normalize=False)
-        return _split_scalar(_nmul(self.num, other.num),
-                             self._c * other._c, _add_splits(s1, s2))
+        c, split = self._c * other._c, _add_splits(s1, s2)
+        if (len(self.num) > 1 or len(other.num) > 1) \
+                and self._pk is not False and other._pk is not False:
+            va = self._pk if self._pk is not None else _pack(self)
+            vb = va and (other._pk if other._pk is not None else _pack(other))
+            if vb and va[2] * vb[2] < _DIGIT_BOUND:
+                return _packed_sum([((va[0] + vb[0], va[1] * vb[1],
+                                      va[2] * vb[2]), c, split)])
+        return _split_scalar(_nmul(self.num, other.num), c, split)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -471,8 +480,9 @@ class SumOfProducts:
     """Sums of products a * b of Scalars, one sum per key, reduced once.
 
     A key with a single product is formed by `Scalar.__mul__`, whose unit
-    fast path needs no reduction.  `_add_each(entries, a, b)` adds a * b *
-    t for each (key, t) of a tail table of `algebra.mul_into`: a and b are
+    fast path needs no reduction; a second product sends the first to the
+    groups.  `_add_each(entries, a, b)` adds a * b * t for each (key, t) of
+    a tail table of `algebra.mul_into` or `algebra.pbw_mul`: a and b are
     multiplied once, and their product, unreduced, always goes in a group.
     """
 
@@ -488,11 +498,23 @@ class SumOfProducts:
         """Add a * b to the sum of key."""
         if not a.num or not b.num:
             return
-        if key not in self._keys:
-            self._keys[key] = (a, b)
+        keys = self._keys
+        if key not in keys:
+            keys[key] = (a, b)
             return
-        self._unlone(key)
-        self._add_product(key, a, b)
+        lone = keys[key]
+        if lone:
+            keys[key] = None            # grouped: the lone product re-enters
+            self.add(key, *lone)
+        c, split = a._c * b._c, _add_splits(a.split, b.split)
+        if a._pk is not False and b._pk is not False \
+                and keys[key] is not False:
+            va = a._pk if a._pk is not None else _pack(a)
+            vb = va and (b._pk if b._pk is not None else _pack(b))
+            if vb and self._packed_add(key, c, split, (
+                    va[0] + vb[0], va[1] * vb[1], va[2] * vb[2])):
+                return
+        self._dict_add(key, a.num, b.num, c, split)
 
     def _add_each(self, entries, a, b):
         """Add a * b * t to the sum of key for each (key, t) of entries."""
@@ -502,45 +524,32 @@ class SumOfProducts:
         va = a._pk if a._pk is not None else _pack(a)
         vb = va and (b._pk if b._pk is not None else _pack(b))
         ab = vb and (va[0] + vb[0], va[1] * vb[1], va[2] * vb[2])
-        n = None
+        keys, n = self._keys, None
         for key, t in entries:
-            self._unlone(key)
+            lone = keys.get(key)
+            if lone is not False:
+                keys[key] = None
+                if lone:
+                    self.add(key, *lone)
             tc, tsplit = c * t._c, _add_splits(split, t.split)
-            if not (ab and self._keys[key] is not False
-                    and self._packed_add(key, tc, tsplit, ab, t)):
+            vt = ab and keys[key] is not False and (
+                t._pk if t._pk is not None else _pack(t))
+            if not (vt and self._packed_add(key, tc, tsplit, (
+                    ab[0] + vt[0], ab[1] * vt[1], ab[2] * vt[2]))):
                 n = n or _nmul(a.num, b.num)
                 self._dict_add(key, n, t.num, tc, tsplit)
 
-    def _unlone(self, key):
-        """Mark key as summed in groups, moving its lone product there."""
-        lone = self._keys.get(key)
-        if lone is not False:
-            self._keys[key] = None
-            if lone:
-                self._add_product(key, *lone)
-
-    def _add_product(self, key, a, b):
-        c, split = a._c * b._c, _add_splits(a.split, b.split)
-        if a._pk is not False and self._keys[key] is not False:
-            va = a._pk if a._pk is not None else _pack(a)
-            if va and self._packed_add(key, c, split, va, b):
-                return
-        self._dict_add(key, a.num, b.num, c, split)
-
-    def _packed_add(self, key, c, split, va, b):
-        """Whether the product of the view va and b's went to the packed
-        group of (key, c, split)."""
-        vb = b._pk if b._pk is not None else _pack(b)
-        if not vb:
-            return False
-        gkey, lo, norm = (key, c, split), va[0] + vb[0], va[2] * vb[2]
+    def _packed_add(self, key, c, split, view):
+        """Whether the product of packed view (lo, P, norm) went to the
+        packed group of (key, c, split)."""
+        gkey, (lo, p, norm) = (key, c, split), view
         group = self._packed.get(gkey) or [lo, 0, 0]
         if group[2] + norm >= _DIGIT_BOUND:
             return False
         self._packed[gkey] = group
         if lo < group[0]:       # align the lowest powers of s
             group[:2] = lo, group[1] << ((group[0] - lo) << 6)
-        group[1] += va[1] * vb[1] << ((lo - group[0]) << 6)
+        group[1] += p << ((lo - group[0]) << 6)
         group[2] += norm
         if group[1].bit_length() >= _GROUP_MAX_TERMS << 6:    # span > bound
             del self._packed[gkey]

@@ -1,11 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink import algebra as al
 from qmink import scalars as sc
+from qmink.surface import parse_element
 
 x0 = al.gen_element("x0")
 xm = al.gen_element("xm")
@@ -518,6 +521,68 @@ def test_to_pbw_x_accepts_exactly_the_symmetric_elements(monkeypatch):
             assert al.pbw_to_element(pbw) == f
     assert products == []
     assert 10 < raised < 50
+
+
+# -- the PBW engine: tail tables from the PBW relations alone ------------------
+
+def _pbw_digest(pbw):
+    return hashlib.sha256(repr(sorted(pbw.items())).encode()).hexdigest()
+
+
+def test_pbw_engine_needs_no_internal_normal_ordering(monkeypatch):
+    f = parse_element("xp * x3 * xm * (x0 + q*x3)^2 + m * x3 * xp^2 * xm")
+    a = al.to_pbw_x(parse_element("x0*xm + x3^2"))
+    b = al.to_pbw_x(parse_element("xp*x3 + q*xm"))
+
+    def refuse(*args):
+        raise AssertionError("the PBW engine used internal normal ordering")
+
+    monkeypatch.setattr(al, "_tail_mul", refuse)
+    monkeypatch.setattr(al, "mul_into", refuse)
+    for cached in (al._pbw_tail_gen, al._pbw_tail_mul, al._xixi_pbw,
+                   al._prefix_pbw):
+        cached.cache_clear()
+    pbw = al.to_pbw_x(f)
+    assert len(pbw) == 15
+    assert _pbw_digest(pbw) == \
+        "6d44c4a12a52dc50d2a319742a20ae2ac148ab9c932ee148cabf511b309a73d8"
+    assert _pbw_digest(al.pbw_mul(a, b)) == \
+        "7015de93cb6f8a5215a1a9924b824f7ed6f9a3d5a9cfbe40e5b4e46d61716e5d"
+
+
+def _pbw_mul_reference(f, g):
+    """f * g one monomial of g at a time, each generator appended to every
+    term and every coefficient reduced after each append."""
+    acc = {}
+    for (n0, nm, np_, n3), coeff in g.items():
+        cur = {(a0 + n0, am, ap, a3): c * coeff
+               for (a0, am, ap, a3), c in f.items()}
+        for gen, count in (("xm", nm), ("xp", np_), ("x3", n3)):
+            for _ in range(count):
+                nxt = {}
+                for (a0, am, ap, a3), c in cur.items():
+                    for (u, m2, p2, v), c2 in al._pbw_tail_gen(am, ap, a3,
+                                                               gen):
+                        al._acc(nxt, (a0 + u, m2, p2, v), c * c2)
+                cur = nxt
+        for key, c in cur.items():
+            al._acc(acc, key, c)
+    return acc
+
+
+def test_pbw_mul_matches_the_generator_by_generator_loop():
+    rng = random.Random(29)
+    keys = [key for key in product(range(4), repeat=4) if sum(key) <= 3]
+    coeffs = [sc.ONE, -sc.ONE, sc.q_power(1), lam / two, sc.integer(3) * sc.I,
+              sc.M + sc.q_power(-1), sc.qnum_std(3).inverse(), sc.R * lam]
+    for _ in range(60):
+        f, g = ({key: rng.choice(coeffs)
+                 for key in rng.sample(keys, rng.randint(1, 4))}
+                for _ in range(2))
+        assert al.pbw_mul(f, g) == _pbw_mul_reference(f, g)
+    for am, ap, a3, nm, np_, n3 in product(range(3), repeat=6):
+        for _, t in al._pbw_tail_mul(am, ap, a3, nm, np_, n3):
+            assert t is sc.ONE or not t.is_one()
 
 
 def test_power_sums_by_newtons_identities():

@@ -724,6 +724,100 @@ def test_scalar_power_makes_no_wasted_product(monkeypatch, n):
     assert len(calls) == expected
 
 
+# -- packed products in Scalar.__mul__ -----------------------------------------
+#
+# A product of two Scalars in s alone over Phi_d's alone is one packed
+# integer product and one packed reduction.  It is checked field by field
+# against the dict path it replaces: the product of the numerators, reduced
+# over the summed split.
+
+def _dict_product(a, b):
+    return sc._split_scalar(sc._nmul(a.num, b.num), a._c * b._c,
+                            sc._add_splits(a.split, b.split))
+
+
+def _assert_product(a, b):
+    for got in (a * b, b * a):
+        want = _dict_product(a, b)
+        assert (got.num, got._c, got.split) == \
+            (want.num, want._c, want.split), (a, b)
+    return got
+
+
+def _packable(rng):
+    """A random Scalar in s alone over Phi_d's alone: a random Laurent
+    numerator times some of the factors below, over others, so that two of
+    them share factors; Phi_1 = 1 - s comes from lambda, to odd powers too,
+    and the contents share 2 and 3."""
+    factors = [_LAM, _TWO, sc.qnum_std(3), sc.s_power(1) + sc.ONE,
+               sc.s_power(1) - sc.ONE]
+    num = sc.ZERO
+    while not num:
+        num = sum((sc.integer(rng.randint(-9, 9)) * sc.s_power(e)
+                   for e in rng.sample(range(-5, 6), rng.randint(1, 4))),
+                  sc.ZERO)
+    x = num * sc.rational(rng.choice([1, 2, 3, 6]), rng.choice([1, 2, 4, 9]))
+    for _ in range(rng.randint(0, 3)):
+        x = x * rng.choice(factors)
+    for _ in range(rng.randint(0, 4)):
+        x = x / rng.choice(factors)
+    return x
+
+
+def test_packed_products_match_the_dict_path():
+    rng = random.Random(20261021)
+    packed = 0
+    for _ in range(400):
+        a, b = _packable(rng), _packable(rng)
+        assert sc._pack(a) and sc._pack(b)
+        got = _assert_product(a, b)
+        packed += len(a.num) > 1 or len(b.num) > 1
+        assert sc._pack(got)
+    assert packed > 300
+
+
+def test_products_off_the_packed_path_match_the_dict_path():
+    below = sc.integer(2 ** 63 - 2) - sc.s_power(1)     # norm 2^63 - 1
+    near = [below, -below, sc.integer(3 ** 39) * (sc.ONE + _Q),
+            sc.integer(3 ** 40) * (sc.ONE + _Q), sc.integer(3 ** 40)]
+    units = [sc.ONE, -sc.ONE, sc.integer(6), sc.s_power(-3) * sc.I]
+    others = [sc.I * _Q + sc.ONE, sc.R - _Q, sc.M / _LAM + sc.ONE,
+              (sc.K + _Q) / _TWO, sc.ONE / (sc.M + sc.integer(2)),
+              (_Q + sc.integer(3)).inverse() * (_Q - sc.ONE)]
+    monomials = [sc.s_power(-2) / _LAM, sc.rational(3, 4) * _Q / _TWO ** 3]
+    packable = [(_Q - sc.ONE) / _TWO, _LAM / sc.qnum_std(3) ** 2,
+                sc.rational(2, 9) * (_Q + sc.integer(3)) / _LAM ** 3]
+    for a in near + units + others + monomials + packable:
+        for b in [sc.s_power(1) / _TWO] + units + others + monomials \
+                + packable:
+            _assert_product(a, b)
+
+
+@pytest.mark.parametrize("k, packed", [(2 ** 62 - 2, True),
+                                       (2 ** 62 - 1, False)])
+def test_packed_product_checks_the_norm_bound(monkeypatch, k, packed):
+    # a norm of 2 (k + 1) against the bound 2^63: below it the product is
+    # packed and multiplies no numerator dict, at the bound it is not
+    a = (sc.integer(k) + sc.s_power(1)) / _TWO
+    b = (sc.ONE + sc.s_power(1)) / sc.qnum_std(3)
+    calls, nmul = [], sc._nmul
+    monkeypatch.setattr(sc, "_nmul", lambda *n: calls.append(1) or nmul(*n))
+    got = a * b
+    assert len(calls) == (not packed)
+    monkeypatch.undo()
+    assert (got.num, got._c, got.split) == \
+        (lambda w: (w.num, w._c, w.split))(_dict_product(a, b))
+
+
+def test_packed_product_reduces_once(count_reductions):
+    a, b = (_Q - sc.ONE) / (_TWO * sc.integer(6)), (_Q + sc.ONE) / _LAM ** 3
+    got = []
+    assert count_reductions(lambda: got.append(a * b)) == 1
+    assert sc._pack(a) and sc._pack(b) and got[0] == _dict_product(a, b)
+    # q^2 - 1 = q lambda: Phi_1 Phi_2 Phi_4 cancels once, Phi_1's sign too
+    assert got[0] == _Q * sc.rational(1, 6) / (_TWO * _LAM ** 2)
+
+
 # -- the deferred sum of products ---------------------------------------------
 #
 # Both gradients and the matrix products sum through SumOfProducts, so it is
