@@ -306,8 +306,8 @@ def mul_into(acc, f, g):
                 (da, db, c3, d3, e3), _ = table[0]
                 acc.add((a + a2 + da, b + b2 + db, c3, d3, e3), v, coeff)
                 continue
-            acc._add_each([((a + a2 + da, b + b2 + db, c3, d3, e3), t)
-                           for (da, db, c3, d3, e3), t in table], v, coeff)
+            acc.add_each([((a + a2 + da, b + b2 + db, c3, d3, e3), t)
+                          for (da, db, c3, d3, e3), t in table], v, coeff)
 
 
 # -- standard elements -------------------------------------------------------
@@ -594,8 +594,8 @@ def pbw_mul(f, g):
                 (u, m2, p2, v), _ = table[0]
                 acc.add((a0 + n0 + u, m2, p2, v), c, coeff)
                 continue
-            acc._add_each([((a0 + n0 + u, m2, p2, v), t)
-                           for (u, m2, p2, v), t in table], c, coeff)
+            acc.add_each([((a0 + n0 + u, m2, p2, v), t)
+                          for (u, m2, p2, v), t in table], c, coeff)
     return acc.result()
 
 

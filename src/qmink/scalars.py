@@ -71,7 +71,8 @@ A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
 reduces each output coefficient once instead of once per product and per
 partial sum: numerators are multiplied into one group per key and product
 denominator, and the groups of a key are summed over the lcm of their
-denominators and reduced once.  It builds both gradients, every `Matrix`
+denominators and reduced once.  It keeps no state per key: each product
+goes straight to its group.  It builds both gradients, every `Matrix`
 product, the product of two multi-term Elements, the central stage of the
 PBW conversion and the alpha expansion of a central Element.
 
@@ -83,10 +84,14 @@ below 2^63, checked before each product or add, makes each coefficient
 c_j of P = sum c_j 2^(64 j) one balanced digit |c_j| < 2^63.  A product
 of two packed Scalars, one of them not a monomial, is one integer
 product, one reduction by the divmod above and one read-back, whether
-`Scalar.__mul__` forms it or `SumOfProducts`, whose `add` and `_add_each`
-send the product's view to one packed add per key: a key's sum is reduced
+`Scalar.__mul__` forms it or `SumOfProducts`, whose `add` and `add_each`
+send each product to the packed group of its key: a key's sum is reduced
 packed and read back once.  A product with m, k, i or r, another factor
-or past the bound multiplies numerator dicts, in dict groups if summed.
+or past the bound multiplies numerator dicts, in a dict group; a key that
+has one reads its packed groups back as dicts.  A numerator that is one
+monomial in s shares no Phi_d with its denominator, so neither reduction
+path divides it (m and k still may): a unit times a monomial over any
+denominator, summed alone, costs no division.
 """
 
 from __future__ import annotations
@@ -305,30 +310,15 @@ class Scalar:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        # value = num/den; inverse = den/num.  Clear r then i from the new
-        # denominator by conjugation.
-        a = {key: v for key, v in self.num.items() if key[4] == 0}
-        b = {key[:4] + (0,): v for key, v in self.num.items() if key[4] == 1}
-        if b:
-            # (a + b r)^-1 = (a - b r) / (a^2 - b^2 (s^2 + s^-2))
-            rr = {(2, 0, 0, 0, 0): 1, (-2, 0, 0, 0, 0): 1}
-            denom_c = _nadd(_nmul(a, a), _nscale(_nmul(_nmul(b, b), rr), -1))
-            conj_r = _nadd(a, _nscale({k[:4] + (1,): v for k, v in b.items()}, -1))
-        else:
-            denom_c = dict(a)
-            conj_r = {_NKEY0: 1}
-        # denom_c is r-free; clear i
-        cre = {key: v for key, v in denom_c.items() if key[3] == 0}
-        cim = {key[:3] + (0, 0): v for key, v in denom_c.items() if key[3] == 1}
-        if cim:
-            new_den_num = _nadd(_nmul(cre, cre), _nmul(cim, cim))
-            conj_i = _nadd(cre, _nscale({k[:3] + (1, 0): v for k, v in cim.items()}, -1))
-        else:
-            new_den_num = denom_c
-            conj_i = {_NKEY0: 1}
-        new_num = _nmul(_nmul(_den_as_num(self.den), conj_r), conj_i)
-        new_den = {key[:3]: v for key, v in new_den_num.items()}
-        return Scalar(new_num, new_den)
+        # value = num/den; inverse = den/num.  Clear r, then i, from the new
+        # denominator: times it with that unit's terms negated, by _nmul,
+        # which folds r^2 = s^2 + s^-2 and i^2 = -1.
+        num, den = _den_as_num(self.den), self.num
+        for unit in (4, 3):
+            if any(key[unit] for key in den):
+                bar = {key: -v if key[unit] else v for key, v in den.items()}
+                num, den = _nmul(num, bar), _nmul(den, bar)
+        return Scalar(num, {key[:3]: v for key, v in den.items()})
 
     # -- comparisons ------------------------------------------------------
 
@@ -466,9 +456,9 @@ def _packed_sum(parts):
         return ZERO
     low = ((total & -total).bit_length() - 1) >> 6      # zero digits below
     lo, total = lo + low, total >> (low << 6)
-    if split:
+    if split and not -_DIGIT_BOUND < total < _DIGIT_BOUND:
         arr, c, split = _reduce(total, c, split)
-    else:
+    else:       # one digit: a monomial in s shares no Phi_d with split
         arr = _unpack(total)
     g = gcd(c, *arr) if c > 0 else -gcd(c, *arr)
     return _init(object.__new__(Scalar), {(lo + j, 0, 0, 0, 0): v // g
@@ -479,17 +469,18 @@ def _packed_sum(parts):
 class SumOfProducts:
     """Sums of products a * b of Scalars, one sum per key, reduced once.
 
-    A key with a single product is formed by `Scalar.__mul__`, whose unit
-    fast path needs no reduction; a second product sends the first to the
-    groups.  `_add_each(entries, a, b)` adds a * b * t for each (key, t) of
-    a tail table of `algebra.mul_into` or `algebra.pbw_mul`: a and b are
-    multiplied once, and their product, unreduced, always goes in a group.
+    Each product goes straight to the group of its key and denominator:
+    packed if both factors have a packed view and the group's norm stays
+    below the bound, else as a numerator dict.  `add_each(entries, a, b)`
+    adds a * b * t for each (key, t) of a tail table of `algebra.mul_into`
+    or `algebra.pbw_mul`, a and b multiplied once and left unreduced.  A
+    sum that is one monomial, as a unit times a monomial fraction is, is
+    reduced with no division (`_packed_sum`, `_reduce`).
     """
 
-    __slots__ = ("_keys", "_groups", "_packed", "_sums")
+    __slots__ = ("_groups", "_packed", "_sums")
 
     def __init__(self):
-        self._keys = {}       # key: lone (a, b), else None; False: dicts
         self._groups = {}     # (key, c, split) -> numerator dict
         self._packed = {}     # (key, c, split) -> [lo, P, norm]
         self._sums = {}       # key -> sum of the reduced products so far
@@ -498,17 +489,8 @@ class SumOfProducts:
         """Add a * b to the sum of key."""
         if not a.num or not b.num:
             return
-        keys = self._keys
-        if key not in keys:
-            keys[key] = (a, b)
-            return
-        lone = keys[key]
-        if lone:
-            keys[key] = None            # grouped: the lone product re-enters
-            self.add(key, *lone)
         c, split = a._c * b._c, _add_splits(a.split, b.split)
-        if a._pk is not False and b._pk is not False \
-                and keys[key] is not False:
+        if a._pk is not False and b._pk is not False:
             va = a._pk if a._pk is not None else _pack(a)
             vb = va and (b._pk if b._pk is not None else _pack(b))
             if vb and self._packed_add(key, c, split, (
@@ -516,7 +498,7 @@ class SumOfProducts:
                 return
         self._dict_add(key, a.num, b.num, c, split)
 
-    def _add_each(self, entries, a, b):
+    def add_each(self, entries, a, b):
         """Add a * b * t to the sum of key for each (key, t) of entries."""
         if not a.num or not b.num:
             return
@@ -524,16 +506,10 @@ class SumOfProducts:
         va = a._pk if a._pk is not None else _pack(a)
         vb = va and (b._pk if b._pk is not None else _pack(b))
         ab = vb and (va[0] + vb[0], va[1] * vb[1], va[2] * vb[2])
-        keys, n = self._keys, None
+        n = None
         for key, t in entries:
-            lone = keys.get(key)
-            if lone is not False:
-                keys[key] = None
-                if lone:
-                    self.add(key, *lone)
             tc, tsplit = c * t._c, _add_splits(split, t.split)
-            vt = ab and keys[key] is not False and (
-                t._pk if t._pk is not None else _pack(t))
+            vt = ab and (t._pk if t._pk is not None else _pack(t))
             if not (vt and self._packed_add(key, tc, tsplit, (
                     ab[0] + vt[0], ab[1] * vt[1], ab[2] * vt[2]))):
                 n = n or _nmul(a.num, b.num)
@@ -561,7 +537,6 @@ class SumOfProducts:
         num = self._groups.get(gkey)
         if num is None:
             num = self._groups[gkey] = {}
-            self._keys[key] = False
         _nmul_into(num, n1, n2)
         if len(num) > _GROUP_MAX_TERMS:
             self._reduce(key, _split_scalar(num, c, split))
@@ -572,28 +547,26 @@ class SumOfProducts:
         self._sums[key] = x if prev is None else prev + x
 
     def result(self):
-        """{key: sum} for the keys whose sum is not zero.  The reduced sums
-        own the numerators, so the accumulator is emptied."""
-        keys, groups, packed = self._keys, {}, {}
-        for key, lone in keys.items():
-            if lone:
-                self._sums[key] = lone[0] * lone[1]
-        for (key, c, split), view in self._packed.items():
-            if keys[key] is False:
-                groups.setdefault(key, []).append(
-                    (_unpacked_num(view), c, split))
-            else:
-                packed.setdefault(key, []).append((view, c, split))
+        """{key: sum} for the keys whose sum is not zero: a key's packed
+        groups are summed packed, or read back as dicts if the key also has
+        a dict group.  The reduced sums own the numerators, so the
+        accumulator is emptied."""
+        groups, packed = {}, {}
         for (key, c, split), num in self._groups.items():
             if num:
                 groups.setdefault(key, []).append((num, c, split))
+        for (key, c, split), view in self._packed.items():
+            if key in groups:
+                groups[key].append((_unpacked_num(view), c, split))
+            else:
+                packed.setdefault(key, []).append((view, c, split))
         for key, group in packed.items():
             self._reduce(key, _packed_sum(group))
         for key, group in groups.items():
             self._reduce(key, _over_lcm(group) if len(group) > 1
                          else _split_scalar(*group[0]))
         out = {key: x for key, x in self._sums.items() if x.num}
-        self._keys, self._groups, self._packed, self._sums = {}, {}, {}, {}
+        self._groups, self._packed, self._sums = {}, {}, {}
         return out
 
 
@@ -735,7 +708,7 @@ def _reduce(num, c, split):
                 {0: dict(enumerate(_unpack(num)))}, split, cancelled)[0])
         num = arr
     else:
-        if split[-1][0] > 0:
+        if split[-1][0] > 0 and len(num) > 1:      # a monomial has no Phi_d
             num = _cancel_phis(num, split, cancelled)
         if split[0][0] < 0:
             num = _cancel_factors(num, split, cancelled)

@@ -661,9 +661,9 @@ def test_summed_product_matches_the_term_by_term_product(monkeypatch):
 
 
 def test_a_lone_deferred_product_leaves_reduced():
-    # x30 x+ = q^2 x+ x30 is the only product with the key x+ x30, and its
-    # pair product 1/[2] * [2] is deferred; formed as a lone product with
-    # the unit q^2 it kept the denominator: (s^8 + s^4)/(s^4 + 1)
+    # x30 x+ = q^2 x+ x30 is the only product with the key x+ x30: its
+    # coefficient q^2 * (1/[2] * [2]) must leave reduced, s^4 and not
+    # (s^8 + s^4)/(s^4 + 1)
     got = (x30.scale(two.inverse()) + x0) * (xp.scale(two) + x0)
     c = got.terms[(0, 0, 1, 1, 0)]
     assert c.num == {(4, 0, 0, 0, 0): 1}

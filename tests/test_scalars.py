@@ -996,6 +996,23 @@ def test_packed_key_is_reduced_once(count_reductions):
     assert got == _assert_sums_naively(contribs)
 
 
+@pytest.mark.parametrize("unit", [sc.ONE, sc.I])
+def test_monomial_sum_is_not_divided(unit, monkeypatch):
+    # u s/[2] + u s/[2] = 2 u s^3 / Phi_8, packed for u = 1 and a dict for
+    # u = i: a monomial shares no Phi_d with its denominator, so neither
+    # reduction path tries to divide it
+    def no_division(*args):
+        raise AssertionError("a monomial was divided")
+
+    monkeypatch.setattr(sc, "_divide_packed", no_division)
+    monkeypatch.setattr(sc, "_cancel_phis", no_division)
+    a, two = unit * sc.s_power(1), _TWO.inverse()
+    acc = sc.SumOfProducts()
+    acc.add(0, a, two)
+    acc.add(0, a, two)
+    assert acc.result() == {0: sc.integer(2) * a * two}
+
+
 # -- cancelling Phi_d by one big-integer divmod ----------------------------------
 
 def _list_reduce(arr, c, split):
