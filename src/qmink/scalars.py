@@ -68,13 +68,15 @@ out only the integer content: s and i are units, so the product shares no
 factor with an already reduced denominator that the other did not.
 
 A sum of products sum_t a_t b_t is built by `SumOfProducts`, which
-reduces each output coefficient once instead of once per product and per
-partial sum: numerators are multiplied into one group per key and product
-denominator, and the groups of a key are summed over the lcm of their
-denominators and reduced once.  It keeps no state per key: each product
-goes straight to its group.  It builds both gradients, every `Matrix`
-product, the product of two multi-term Elements, the central stage of the
-PBW conversion and the alpha expansion of a central Element.
+reduces each output coefficient once, however many products it has,
+instead of once per product and per partial sum: numerators are
+multiplied into one group per key and product denominator, nothing is
+reduced before `result()`, and there the groups of a key are summed over
+the lcm of their denominators and reduced once.  It keeps no state per
+key: each product goes straight to its group.  It builds both gradients,
+every `Matrix` product, the product of two multi-term Elements, the
+central stage of the PBW conversion and the alpha expansion of a central
+Element.
 
 Nearly all products are of numerators in s alone over Phi_d's alone,
 multiplied packed: such a Scalar has a packed view (lo, P, norm), P = sum
@@ -383,13 +385,6 @@ class Scalar:
 
 # -- deferred sums of products ------------------------------------------------
 
-# A group whose numerator passes this many terms, or a packed group whose
-# span in s does, is reduced at once and starts again empty.  The engine's
-# groups stay far smaller: at most 22 terms over both gradients of the
-# criterion-4 and benchmark inputs, the benchmark's wave and matrix batches
-# and `verify all --max-degree 4`.  The bound keeps an adversarial sum from
-# deferring all of its work to one reduction of an unbounded numerator.
-_GROUP_MAX_TERMS = 256
 _DIGIT_BOUND = 1 << 63      # the norm of a packed group stays below it
 
 
@@ -471,19 +466,20 @@ class SumOfProducts:
 
     Each product goes straight to the group of its key and denominator:
     packed if both factors have a packed view and the group's norm stays
-    below the bound, else as a numerator dict.  `add_each(entries, a, b)`
-    adds a * b * t for each (key, t) of a tail table of `algebra.mul_into`
-    or `algebra.pbw_mul`, a and b multiplied once and left unreduced.  A
-    sum that is one monomial, as a unit times a monomial fraction is, is
-    reduced with no division (`_packed_sum`, `_reduce`).
+    below the bound, else as a numerator dict.  No group is reduced before
+    `result()`, so each key is reduced once, however many products it has.
+    `add_each(entries, a, b)` adds a * b * t for each (key, t) of a tail
+    table of `algebra.mul_into` or `algebra.pbw_mul`, a and b multiplied
+    once and left unreduced.  A sum that is one monomial, as a unit times a
+    monomial fraction is, is reduced with no division (`_packed_sum`,
+    `_reduce`).
     """
 
-    __slots__ = ("_groups", "_packed", "_sums")
+    __slots__ = ("_groups", "_packed")
 
     def __init__(self):
         self._groups = {}     # (key, c, split) -> numerator dict
         self._packed = {}     # (key, c, split) -> [lo, P, norm]
-        self._sums = {}       # key -> sum of the reduced products so far
 
     def add(self, key, a, b):
         """Add a * b to the sum of key."""
@@ -527,9 +523,6 @@ class SumOfProducts:
             group[:2] = lo, group[1] << ((group[0] - lo) << 6)
         group[1] += p << ((lo - group[0]) << 6)
         group[2] += norm
-        if group[1].bit_length() >= _GROUP_MAX_TERMS << 6:    # span > bound
-            del self._packed[gkey]
-            self._reduce(key, _packed_sum([(group, c, split)]))
         return True
 
     def _dict_add(self, key, n1, n2, c, split):
@@ -538,13 +531,6 @@ class SumOfProducts:
         if num is None:
             num = self._groups[gkey] = {}
         _nmul_into(num, n1, n2)
-        if len(num) > _GROUP_MAX_TERMS:
-            self._reduce(key, _split_scalar(num, c, split))
-            self._groups[gkey] = {}
-
-    def _reduce(self, key, x):
-        prev = self._sums.get(key)
-        self._sums[key] = x if prev is None else prev + x
 
     def result(self):
         """{key: sum} for the keys whose sum is not zero: a key's packed
@@ -560,14 +546,12 @@ class SumOfProducts:
                 groups[key].append((_unpacked_num(view), c, split))
             else:
                 packed.setdefault(key, []).append((view, c, split))
-        for key, group in packed.items():
-            self._reduce(key, _packed_sum(group))
+        out = {key: _packed_sum(group) for key, group in packed.items()}
         for key, group in groups.items():
-            self._reduce(key, _over_lcm(group) if len(group) > 1
-                         else _split_scalar(*group[0]))
-        out = {key: x for key, x in self._sums.items() if x.num}
-        self._groups, self._packed, self._sums = {}, {}, {}
-        return out
+            out[key] = _over_lcm(group) if len(group) > 1 \
+                else _split_scalar(*group[0])
+        self._groups, self._packed = {}, {}
+        return {key: x for key, x in out.items() if x.num}
 
 
 def power(x, n):

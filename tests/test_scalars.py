@@ -848,7 +848,7 @@ def _contributions(dens, s_alone=False):
 
 
 def _check_sum_of_products(contribs, s_only):
-    """Checks the built sums; returns whether a group passed the bound."""
+    """Checks the built sums against the mirror and the naive sums."""
     acc = sc.SumOfProducts()
     mirror, naive = {}, {}
     for key, a, b in contribs:
@@ -859,7 +859,6 @@ def _check_sum_of_products(contribs, s_only):
         naive[key] = naive[key] + a * b if key in naive else a * b
         for x in (a, b, naive[key]):
             _assert_split(x)
-    spilled = bool(acc._sums)
     got = acc.result()
     assert set(got) <= set(mirror)
     for key, want in mirror.items():
@@ -871,7 +870,6 @@ def _check_sum_of_products(contribs, s_only):
         if s_only:
             assert (got[key].num, got[key].den) == \
                 (naive[key].num, naive[key].den)
-    return spilled
 
 
 @given(_contributions(_S_DENS))
@@ -893,21 +891,41 @@ def test_sum_of_products_matches_mirror_with_mk_denominators(contribs):
     _check_sum_of_products(contribs, s_only=False)
 
 
-def _past_the_bound(unit):
-    """Products over lambda [2] that add 8 new numerator terms each, so the
-    group of key 0 passes the bound; the last contribution cancels the
-    first, which was reduced with the group before it."""
-    def chunk(j):
-        return sum((sc.s_power(8 * j + t) * sc.integer(t + 1)
-                    * unit ** (t % 2) for t in range(8)), sc.ZERO) / _LAM
-
-    n = sc._GROUP_MAX_TERMS // 8 + 2
-    contribs = [(0, chunk(j), _TWO.inverse()) for j in range(n)]
-    return contribs + [(1, chunk(0), _Q), (0, -chunk(0), _TWO.inverse())]
+def _chunk(j, unit):
+    """sum_t (t+1) s^(8j+t) unit^(t%2) / lambda over t in 0..7."""
+    return sum((sc.s_power(8 * j + t) * sc.integer(t + 1) * unit ** (t % 2)
+                for t in range(8)), sc.ZERO) / _LAM
 
 
-def test_sum_of_products_reduces_a_group_past_the_bound():
-    assert _check_sum_of_products(_past_the_bound(sc.I), s_only=True)
+def _long_sum(unit):
+    """34 products over lambda [2] that add 8 new numerator terms each to
+    key 0, 272 terms in all; the last contribution cancels the first."""
+    contribs = [(0, _chunk(j, unit), _TWO.inverse()) for j in range(34)]
+    return contribs + [(1, _chunk(0, unit), _Q),
+                       (0, -_chunk(0, unit), _TWO.inverse())]
+
+
+def test_sum_of_products_sums_a_long_dict_group():
+    _check_sum_of_products(_long_sum(sc.I), s_only=True)
+
+
+@pytest.mark.parametrize("unit", [sc.ONE, sc.I])
+def test_sum_of_products_reduces_a_long_key_once(unit, count_reductions):
+    # 40 chunks of 8 terms into key 0, packed for unit 1 and as a dict for
+    # unit i: however many products a key has, it is reduced once
+    half = _TWO.inverse()
+    chunks = [_chunk(j, unit) for j in range(40)]
+    acc, got = sc.SumOfProducts(), {}
+
+    def build():
+        for x in chunks:
+            acc.add(0, x, half)
+        got.update(acc.result())
+
+    assert count_reductions(build) == 1
+    want = sum((x * half for x in chunks), sc.ZERO)
+    assert (got[0].num, got[0]._c, got[0].split) == \
+        (want.num, want._c, want.split)
 
 
 def _assert_sums_naively(contribs):
@@ -976,10 +994,10 @@ def test_sum_of_products_mixes_packed_and_dict_products(other,
     _check_sum_of_products(contribs, s_only=False)
 
 
-def test_packed_sum_of_products_reduces_a_group_past_the_bound():
-    # in s alone, the packed group of key 0 passes the bound by its span
-    contribs = _past_the_bound(sc.ONE)
-    assert _check_sum_of_products(contribs, s_only=True)
+def test_packed_sum_of_products_sums_a_wide_group():
+    # in s alone, the packed group of key 0 spans 272 powers of s
+    contribs = _long_sum(sc.ONE)
+    _check_sum_of_products(contribs, s_only=True)
     _assert_sums_naively(contribs)
 
 
